@@ -29,13 +29,22 @@
 //!
 //! The payload packs each round's syndrome bits LSB-first, padded to a
 //! whole byte per round (hardware serializers work in byte lanes).
+//! That lane is exactly the little-endian byte image of a
+//! [`PackedBits`] row, so a request carries its rounds word-packed end
+//! to end: [`DecodeRequest::from_history`] copies words out of the
+//! window, encoding and parsing move whole words
+//! ([`PackedBits::extend_le_bytes`] / [`PackedBits::from_le_bytes`],
+//! which masks padding bits a hostile sender may have set), and
+//! [`DecodeRequest::replay_into`] pushes the rows back packed — no
+//! bool ⇄ word round trip anywhere on the escalation path.
+//!
 //! [`DecodeRequest::decode`] discriminates the two versions by the v2
 //! magic; v1 qubit ids `>= 0xB7C2_0000` are therefore reserved (their
 //! first two header bytes would collide with the magic) — use
 //! [`DecodeRequest::decode_v1`] to force the legacy parse.
 
-use btwc_syndrome::RoundHistory;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use btwc_syndrome::{PackedBits, RoundHistory};
+use bytes::{Buf, BufMut, Bytes};
 
 /// First two bytes of every v2 frame.
 pub const FRAME_MAGIC: u16 = 0xB7C2;
@@ -87,8 +96,9 @@ pub struct DecodeRequest {
     /// Retransmissions of the same request reuse the same number, so
     /// the receiver can tell a duplicate from the next request.
     pub seq: u32,
-    /// Raw syndrome rounds, oldest first; all the same width.
-    pub rounds: Vec<Vec<bool>>,
+    /// Raw syndrome rounds, oldest first; word-packed, all the same
+    /// width.
+    pub rounds: Vec<PackedBits>,
 }
 
 /// Errors produced when parsing a frame.
@@ -155,8 +165,10 @@ impl std::fmt::Display for ParseFrameError {
 impl std::error::Error for ParseFrameError {}
 
 impl DecodeRequest {
-    /// Builds a request from a window of rounds (sequence number 0; see
-    /// [`DecodeRequest::with_seq`]).
+    /// Builds a request from a window of bool rounds (sequence number
+    /// 0; see [`DecodeRequest::with_seq`]) — the cold constructor for
+    /// tests and tools; the machine tier frames packed windows with
+    /// [`DecodeRequest::from_history`].
     ///
     /// # Panics
     ///
@@ -164,6 +176,11 @@ impl DecodeRequest {
     /// widths, or a round is wider than `u16::MAX` bits.
     #[must_use]
     pub fn new(qubit: u32, cycle: u64, rounds: Vec<Vec<bool>>) -> Self {
+        Self::from_packed(qubit, cycle, rounds.iter().map(|r| PackedBits::from_bools(r)).collect())
+    }
+
+    /// Checks the frame-format invariants on already-packed rounds.
+    fn from_packed(qubit: u32, cycle: u64, rounds: Vec<PackedBits>) -> Self {
         assert!(!rounds.is_empty(), "a decode request needs at least one round");
         let width = rounds[0].len();
         assert!(width >= 1, "a decode request needs at least one bit per round");
@@ -179,9 +196,9 @@ impl DecodeRequest {
         self
     }
 
-    /// Frames a decode window straight off a packed [`RoundHistory`] —
-    /// the cryogenic-side entry point the machine tier uses when a
-    /// Clique plane raises COMPLEX.
+    /// Frames a decode window straight off a packed [`RoundHistory`]
+    /// (a word copy per round) — the cryogenic-side entry point the
+    /// machine tier uses when a Clique plane raises COMPLEX.
     ///
     /// # Panics
     ///
@@ -189,8 +206,8 @@ impl DecodeRequest {
     /// allows (see [`DecodeRequest::new`]).
     #[must_use]
     pub fn from_history(qubit: u32, cycle: u64, window: &RoundHistory) -> Self {
-        let rounds = (0..window.len()).map(|r| window.round(r).to_bools()).collect();
-        Self::new(qubit, cycle, rounds)
+        let rounds = (0..window.len()).map(|r| window.round(r).clone()).collect();
+        Self::from_packed(qubit, cycle, rounds)
     }
 
     /// Replays the received rounds into a caller-owned window (reset
@@ -205,7 +222,7 @@ impl DecodeRequest {
         assert!(self.rounds.len() <= window.capacity(), "window capacity too small for frame");
         window.reset();
         for round in &self.rounds {
-            window.push(round);
+            window.push_packed(round);
         }
     }
 
@@ -230,16 +247,9 @@ impl DecodeRequest {
 
     /// Packs the syndrome rounds LSB-first, one byte-padded lane per
     /// round, into `buf`.
-    fn put_payload(&self, buf: &mut BytesMut) {
-        let stride = self.bits_per_round().div_ceil(8);
+    fn put_payload(&self, buf: &mut Vec<u8>) {
         for round in &self.rounds {
-            let mut bytes = vec![0u8; stride];
-            for (i, &bit) in round.iter().enumerate() {
-                if bit {
-                    bytes[i / 8] |= 1 << (i % 8);
-                }
-            }
-            buf.put_slice(&bytes);
+            round.extend_le_bytes(buf);
         }
     }
 
@@ -247,13 +257,13 @@ impl DecodeRequest {
     /// integrity protection, no sequence number).
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.frame_len());
+        let mut buf = Vec::with_capacity(self.frame_len());
         buf.put_u32(self.qubit);
         buf.put_u64(self.cycle);
         buf.put_u16(self.rounds.len() as u16);
         buf.put_u16(self.bits_per_round() as u16);
         self.put_payload(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Serializes the request to its **v2** wire frame: magic, version,
@@ -261,7 +271,7 @@ impl DecodeRequest {
     /// before it.
     #[must_use]
     pub fn encode_v2(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.frame_len_v2());
+        let mut buf = Vec::with_capacity(self.frame_len_v2());
         buf.put_u16(FRAME_MAGIC);
         buf.put_u8(FRAME_VERSION_V2);
         buf.put_u8(0); // reserved
@@ -273,7 +283,7 @@ impl DecodeRequest {
         self.put_payload(&mut buf);
         let crc = crc32(&buf);
         buf.put_u32(crc);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Parses one frame from `data`, auto-detecting the version: a
@@ -398,20 +408,15 @@ impl DecodeRequest {
     }
 }
 
-/// Unpacks `n_rounds` byte-padded LSB-first rounds of `width` bits.
-fn unpack_rounds(mut data: &[u8], n_rounds: usize, width: usize) -> Vec<Vec<bool>> {
+/// Unpacks `n_rounds` byte-padded LSB-first rounds of `width` bits
+/// from the front of `data` (callers have checked it is long enough).
+/// Padding bits in each lane's last byte are ignored.
+fn unpack_rounds(data: &[u8], n_rounds: usize, width: usize) -> Vec<PackedBits> {
     let stride = width.div_ceil(8);
-    let mut rounds = Vec::with_capacity(n_rounds);
-    for _ in 0..n_rounds {
-        let mut round = vec![false; width];
-        let bytes = &data[..stride];
-        for (i, r) in round.iter_mut().enumerate() {
-            *r = (bytes[i / 8] >> (i % 8)) & 1 == 1;
-        }
-        data.advance(stride);
-        rounds.push(round);
-    }
-    rounds
+    data.chunks_exact(stride)
+        .take(n_rounds)
+        .map(|lane| PackedBits::from_le_bytes(width, lane))
+        .collect()
 }
 
 /// What a received sequence number means relative to the stream so far.

@@ -4,9 +4,10 @@
 //! [`BatchFrontend`] is the batched counterpart of [`CliqueFrontend`]:
 //! instead of `num_qubits` independent per-qubit filters (each paying
 //! its own ring-buffer push and word-AND per cycle), it keeps the
-//! machine's raw rounds transposed ([`SyndromeBatch`]: one qubit-indexed
-//! plane per ancilla) and runs the `k`-round sticky filter as one
-//! word-AND chain per plane — 64 logical qubits per instruction. The
+//! machine's raw rounds transposed ([`SyndromeBatch`]: one contiguous
+//! word matrix, one qubit-indexed plane per ancilla) and runs the
+//! `k`-round sticky filter as one flat word-AND per retained round —
+//! 64 logical qubits per instruction. The
 //! per-qubit Clique decision then runs only for the rare qubits whose
 //! filtered syndrome is non-zero (found with a word-OR over the sticky
 //! planes), so the >90%-quiet common case costs no per-qubit work at

@@ -6,8 +6,8 @@
 //! [`crate::BtwcSystem`] on three seams:
 //!
 //! * **Batched packed ingestion** — one [`SyndromeBatch`] per cycle
-//!   (one qubit-indexed [`PackedBits`] plane per ancilla) instead of
-//!   per-qubit `Vec<bool>` rounds. The sticky filter and the "who needs
+//!   (a contiguous plane-major word matrix: one qubit-indexed plane of
+//!   words per ancilla) instead of per-qubit `Vec<bool>` rounds. The sticky filter and the "who needs
 //!   decoding at all" check run word-parallel across the whole machine
 //!   ([`btwc_clique::BatchFrontend`]), so the >90%-quiet common case
 //!   costs no per-qubit work.
@@ -16,11 +16,12 @@
 //!   union-find, LUT, or a custom factory), the same selector every
 //!   other tier consumes.
 //! * **Transport integration** — every off-chip escalation is framed as
-//!   a real [`DecodeRequest`], crosses the (simulated) refrigerator
-//!   boundary as wire bytes, is parsed back, and only then decoded; the
-//!   shared link is a [`QueueSim`], so [`MachineStats`] reports genuine
-//!   stall, backlog, and frame-byte figures instead of a bare request
-//!   count.
+//!   a real [`DecodeRequest`] (its rounds word-packed from the gathered
+//!   window to the receive-side replay), crosses the (simulated)
+//!   refrigerator boundary as wire bytes, is parsed back, and only then
+//!   decoded; the shared link is a [`QueueSim`], so [`MachineStats`]
+//!   reports genuine stall, backlog, and frame-byte figures instead of
+//!   a bare request count.
 //!
 //! The batched step is **bit-identical** (outcomes and stats) to
 //! running every qubit through its own [`crate::BtwcDecoder`] — pinned
@@ -418,8 +419,8 @@ pub struct BtwcMachine {
     /// windows are *virtual*: each qubit only tracks its window length
     /// ([`BtwcMachine::window_len`]); the actual rounds are gathered
     /// out of this shared ring only when an escalation consumes them,
-    /// so the per-cycle cost is a plane-by-plane word copy for the
-    /// whole machine instead of a transpose per active qubit.
+    /// so the per-cycle cost is one flat word copy for the whole
+    /// machine instead of a transpose per active qubit.
     window_ring: BatchHistory,
     /// Cycles currently in qubit `q`'s (virtual) window — mirrors
     /// `BtwcDecoder`'s slide-on-full / skip-while-empty-and-zero
@@ -668,7 +669,7 @@ impl BtwcMachine {
         }
 
         // 1. Window bookkeeping, word-parallel triage: the shared ring
-        //    takes one plane-by-plane copy of the whole machine round;
+        //    takes one flat word copy of the whole machine round;
         //    per-qubit state is just a length counter, updated only for
         //    qubits with a non-zero raw round or an already-started
         //    window (mirrors BtwcDecoder::process_round_packed:

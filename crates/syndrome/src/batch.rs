@@ -2,14 +2,24 @@
 //! planes") for word-parallel filtering across logical qubits.
 //!
 //! A [`SyndromeBatch`] holds one measurement round for *every* logical
-//! qubit of a machine, as one [`PackedBits`] plane per ancilla index:
-//! bit `q` of plane `a` is qubit `q`'s raw value for ancilla `a`. In
-//! this layout the two-round sticky filter is a word-AND of *planes* —
-//! 64 logical qubits per instruction — and "which qubits need any
-//! decoding at all this cycle" is a word-OR over the planes, so the
-//! mostly-quiet common case (>90% of cycles at practical rates) costs
+//! qubit of a machine as one contiguous plane-major word matrix: plane
+//! `a` (one per ancilla index) is `words_per_plane = ceil(num_qubits /
+//! 64)` consecutive words, and bit `q % 64` of word
+//! `a * words_per_plane + q / 64` is qubit `q`'s raw value for ancilla
+//! `a`. In this layout the two-round sticky filter is one flat word-AND
+//! over the whole matrix — 64 logical qubits per instruction, no plane
+//! pointers to chase — and "which qubits need any decoding at all this
+//! cycle" is a word-OR over the planes, so the mostly-quiet common case
+//! (>90% of cycles at practical rates) costs
 //! `O(num_ancillas × num_qubits / 64)` word operations for the whole
-//! machine instead of a per-qubit loop.
+//! machine instead of a per-qubit loop. One qubit's round is a *column*
+//! of the matrix (stride `words_per_plane`, contiguous when the machine
+//! has at most 64 qubits): writing it is one mask sweep that clears the
+//! column plus a scatter of only the lit ancillas.
+//!
+//! Invariant: bits at positions `>= num_qubits` inside each plane's last
+//! word are always zero, so whole-matrix operations need no masking and
+//! never report a phantom active qubit.
 //!
 //! [`BatchHistory`] is the machine-wide counterpart of
 //! [`RoundHistory`](crate::RoundHistory): a recycled ring of the most
@@ -21,15 +31,17 @@ use crate::history::RoundHistory;
 use crate::packed::PackedBits;
 
 /// One syndrome measurement round for every logical qubit of a
-/// machine, stored as one qubit-indexed [`PackedBits`] plane per
-/// ancilla.
+/// machine, stored as one contiguous plane-major word matrix (one
+/// qubit-indexed plane per ancilla; see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyndromeBatch {
     num_qubits: usize,
     num_ancillas: usize,
-    /// `planes[a]` has `num_qubits` bits; bit `q` = qubit `q`'s raw
-    /// syndrome for ancilla `a`.
-    planes: Vec<PackedBits>,
+    /// `ceil(num_qubits / 64)`.
+    words_per_plane: usize,
+    /// `words[a * words_per_plane + q / 64]` bit `q % 64` = qubit `q`'s
+    /// raw syndrome for ancilla `a`.
+    words: Vec<u64>,
 }
 
 impl SyndromeBatch {
@@ -43,10 +55,12 @@ impl SyndromeBatch {
     pub fn new(num_qubits: usize, num_ancillas: usize) -> Self {
         assert!(num_qubits > 0, "batch needs at least one qubit");
         assert!(num_ancillas > 0, "batch needs at least one ancilla");
+        let words_per_plane = num_qubits.div_ceil(64);
         Self {
             num_qubits,
             num_ancillas,
-            planes: (0..num_ancillas).map(|_| PackedBits::new(num_qubits)).collect(),
+            words_per_plane,
+            words: vec![0; num_ancillas * words_per_plane],
         }
     }
 
@@ -62,14 +76,34 @@ impl SyndromeBatch {
         self.num_ancillas
     }
 
-    /// The qubit-indexed plane for ancilla `a`.
+    /// The qubit-indexed words of ancilla `a`'s plane (tail bits beyond
+    /// `num_qubits()` are zero).
     ///
     /// # Panics
     ///
     /// Panics if `a >= num_ancillas()`.
     #[must_use]
-    pub fn plane(&self, a: usize) -> &PackedBits {
-        &self.planes[a]
+    pub fn plane_words(&self, a: usize) -> &[u64] {
+        &self.words[a * self.words_per_plane..(a + 1) * self.words_per_plane]
+    }
+
+    /// Word offset (within a plane) and bit mask of column `qubit`.
+    #[inline]
+    fn column(&self, qubit: usize) -> (usize, u64) {
+        assert!(
+            qubit < self.num_qubits,
+            "bit index {qubit} out of range for {} bits",
+            self.num_qubits
+        );
+        (qubit / 64, 1u64 << (qubit % 64))
+    }
+
+    /// Index of the word holding `(qubit, ancilla)` and the bit's mask
+    /// (an out-of-range `ancilla` indexes past the matrix).
+    #[inline]
+    fn locate(&self, qubit: usize, ancilla: usize) -> (usize, u64) {
+        let (col, mask) = self.column(qubit);
+        (ancilla * self.words_per_plane + col, mask)
     }
 
     /// Qubit `q`'s raw value for ancilla `a`.
@@ -79,7 +113,8 @@ impl SyndromeBatch {
     /// Panics if either index is out of range.
     #[must_use]
     pub fn get(&self, qubit: usize, ancilla: usize) -> bool {
-        self.planes[ancilla].get(qubit)
+        let (word, mask) = self.locate(qubit, ancilla);
+        self.words[word] & mask != 0
     }
 
     /// Sets qubit `q`'s raw value for ancilla `a`.
@@ -88,14 +123,17 @@ impl SyndromeBatch {
     ///
     /// Panics if either index is out of range.
     pub fn set(&mut self, qubit: usize, ancilla: usize, value: bool) {
-        self.planes[ancilla].set(qubit, value);
+        let (word, mask) = self.locate(qubit, ancilla);
+        if value {
+            self.words[word] |= mask;
+        } else {
+            self.words[word] &= !mask;
+        }
     }
 
     /// Clears every plane (dimensions unchanged).
     pub fn clear(&mut self) {
-        for p in &mut self.planes {
-            p.clear();
-        }
+        self.words.fill(0);
     }
 
     /// Copies another batch of the same dimensions into this one
@@ -107,13 +145,15 @@ impl SyndromeBatch {
     pub fn copy_from(&mut self, other: &SyndromeBatch) {
         assert_eq!(self.num_qubits, other.num_qubits, "qubit count mismatch");
         assert_eq!(self.num_ancillas, other.num_ancillas, "ancilla count mismatch");
-        for (dst, src) in self.planes.iter_mut().zip(&other.planes) {
-            dst.copy_from(src);
-        }
+        self.words.copy_from_slice(&other.words);
     }
 
     /// Scatters one qubit's packed round (ancilla-indexed, as consumed
-    /// by the per-qubit pipelines) into this batch's column `qubit`.
+    /// by the per-qubit pipelines) into this batch's column `qubit`:
+    /// one mask sweep clears the column (a contiguous, vectorisable
+    /// loop when the machine has at most 64 qubits, strided otherwise),
+    /// then a trailing-zeros scan sets only the lit ancillas — cost
+    /// `O(ancillas / SIMD width + lit bits)`.
     ///
     /// # Panics
     ///
@@ -121,12 +161,24 @@ impl SyndromeBatch {
     /// range.
     pub fn set_qubit_round(&mut self, qubit: usize, round: &PackedBits) {
         assert_eq!(round.len(), self.num_ancillas, "round width mismatch");
-        for (a, plane) in self.planes.iter_mut().enumerate() {
-            plane.set(qubit, round.get(a));
+        let (col, mask) = self.column(qubit);
+        let stride = self.words_per_plane;
+        if stride == 1 {
+            for w in &mut self.words {
+                *w &= !mask;
+            }
+        } else {
+            for w in self.words[col..].iter_mut().step_by(stride) {
+                *w &= !mask;
+            }
+        }
+        for a in round.iter_set() {
+            self.words[a * stride + col] |= mask;
         }
     }
 
-    /// [`SyndromeBatch::set_qubit_round`] from a bool slice.
+    /// [`SyndromeBatch::set_qubit_round`] from a bool slice (cold
+    /// paths: one read-modify-write per ancilla).
     ///
     /// # Panics
     ///
@@ -134,8 +186,10 @@ impl SyndromeBatch {
     /// range.
     pub fn set_qubit_round_bools(&mut self, qubit: usize, round: &[bool]) {
         assert_eq!(round.len(), self.num_ancillas, "round width mismatch");
-        for (a, plane) in self.planes.iter_mut().enumerate() {
-            plane.set(qubit, round[a]);
+        let (col, mask) = self.column(qubit);
+        let shift = qubit % 64;
+        for (w, &bit) in self.words[col..].iter_mut().step_by(self.words_per_plane).zip(round) {
+            *w = (*w & !mask) | (u64::from(bit) << shift);
         }
     }
 
@@ -150,17 +204,15 @@ impl SyndromeBatch {
     pub fn qubit_round_into(&self, qubit: usize, out: &mut PackedBits) {
         assert_eq!(out.len(), self.num_ancillas, "round width mismatch");
         assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
-        // Transpose kernel: the source word and shift are fixed by the
-        // qubit, so each output word is 64 single-bit extracts with no
-        // per-bit bounds checks.
-        let w = qubit / 64;
+        // The source column and shift are fixed by the qubit, so each
+        // output word is up to 64 single-bit extracts down one strided
+        // column, with no per-bit bounds checks.
         let shift = qubit % 64;
-        for (wi, word) in out.words_mut().iter_mut().enumerate() {
-            let base = wi * 64;
-            let n = (self.num_ancillas - base).min(64);
+        let mut column = self.words[qubit / 64..].iter().step_by(self.words_per_plane);
+        for word in out.words_mut() {
             let mut acc = 0u64;
-            for j in 0..n {
-                acc |= ((self.planes[base + j].words()[w] >> shift) & 1) << j;
+            for (j, &w) in column.by_ref().take(64).enumerate() {
+                acc |= ((w >> shift) & 1) << j;
             }
             *word = acc;
         }
@@ -175,9 +227,15 @@ impl SyndromeBatch {
     /// Panics if `out.len() != num_qubits()`.
     pub fn active_qubits_into(&self, out: &mut PackedBits) {
         assert_eq!(out.len(), self.num_qubits, "qubit mask width mismatch");
-        out.clear();
-        for plane in &self.planes {
-            out.or_with(plane);
+        let mask = out.words_mut();
+        if let [only] = mask {
+            // One word per plane: the matrix is one contiguous column.
+            *only = self.words.iter().fold(0, |acc, &w| acc | w);
+        } else {
+            for (col, m) in mask.iter_mut().enumerate() {
+                let column = self.words[col..].iter().step_by(self.words_per_plane);
+                *m = column.fold(0, |acc, &w| acc | w);
+            }
         }
     }
 }
@@ -247,8 +305,8 @@ impl BatchHistory {
         self.rounds.is_empty()
     }
 
-    /// Appends a machine round (a plane-by-plane word copy into a
-    /// recycled batch), evicting the oldest round if full.
+    /// Appends a machine round (one flat word copy into a recycled
+    /// batch), evicting the oldest round if full.
     ///
     /// # Panics
     ///
@@ -270,8 +328,8 @@ impl BatchHistory {
 
     /// The machine-wide `k`-round sticky filter: bit `q` of `out`'s
     /// plane `a` is accepted iff qubit `q`'s ancilla `a` was lit in
-    /// each of the last `k` rounds — one word-AND chain per plane,
-    /// 64 qubits per instruction.
+    /// each of the last `k` rounds — one flat word-AND per retained
+    /// round over the whole matrix, 64 qubits per instruction.
     ///
     /// `out` is all-zeros while fewer than `k` rounds have been
     /// recorded (the filter pipeline still filling), exactly matching
@@ -293,9 +351,8 @@ impl BatchHistory {
         let start = self.rounds.len() - k;
         out.copy_from(&self.rounds[start]);
         for r in (start + 1)..self.rounds.len() {
-            let newer = &self.rounds[r];
-            for (dst, src) in out.planes.iter_mut().zip(&newer.planes) {
-                dst.and_with(src);
+            for (dst, &src) in out.words.iter_mut().zip(&self.rounds[r].words) {
+                *dst &= src;
             }
         }
     }
@@ -436,7 +493,7 @@ mod tests {
         let mut sticky = SyndromeBatch::new(4, 3);
         history.push(&batch);
         history.sticky_into(2, &mut sticky);
-        assert!(sticky.plane(1).is_zero(), "one round cannot satisfy k=2");
+        assert!(sticky.plane_words(1).iter().all(|&w| w == 0), "one round cannot satisfy k=2");
         history.push(&batch);
         history.sticky_into(2, &mut sticky);
         assert!(sticky.get(2, 1));
@@ -444,13 +501,13 @@ mod tests {
         assert!(history.is_empty());
         history.push(&batch);
         history.sticky_into(2, &mut sticky);
-        assert!(sticky.plane(1).is_zero(), "reset must refill the pipeline");
+        assert!(sticky.plane_words(1).iter().all(|&w| w == 0), "reset must refill the pipeline");
         // Recycled buffers must come back fully overwritten.
         let quiet = SyndromeBatch::new(4, 3);
         history.push(&quiet);
         history.push(&quiet);
         history.sticky_into(2, &mut sticky);
-        assert!(sticky.plane(1).is_zero());
+        assert!(sticky.plane_words(1).iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -41,6 +41,44 @@ impl PackedBits {
         out
     }
 
+    /// Unpacks `len` bits from their little-endian byte image: bit `i`
+    /// is bit `i % 8` of byte `i / 8` — the off-chip frame's payload
+    /// lane, and the inverse of [`PackedBits::extend_le_bytes`]. Whole
+    /// words move at once; padding bits at positions `>= len` in the
+    /// last byte are masked off, so bytes from outside the program
+    /// cannot break the zero-tail invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes.len() != len.div_ceil(8)`.
+    #[must_use]
+    pub fn from_le_bytes(len: usize, bytes: &[u8]) -> Self {
+        assert_eq!(bytes.len(), len.div_ceil(8), "byte length mismatch");
+        let mut words: Vec<u64> = bytes
+            .chunks(8)
+            .map(|chunk| {
+                let mut le = [0u8; 8];
+                le[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(le)
+            })
+            .collect();
+        if let Some(last) = words.last_mut() {
+            *last &= u64::MAX >> ((64 - len % 64) % 64);
+        }
+        Self { len, words }
+    }
+
+    /// Appends the little-endian byte image (`len().div_ceil(8)` bytes,
+    /// padding bits zero) to `out`; see [`PackedBits::from_le_bytes`].
+    pub fn extend_le_bytes(&self, out: &mut Vec<u8>) {
+        let mut remaining = self.len.div_ceil(8);
+        for w in &self.words {
+            let n = remaining.min(8);
+            out.extend_from_slice(&w.to_le_bytes()[..n]);
+            remaining -= n;
+        }
+    }
+
     /// Number of bits.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -178,10 +216,7 @@ impl PackedBits {
     /// Weight of `self XOR other` in a single fused pass: per word one
     /// XOR feeding straight into a hardware popcount, with no temporary
     /// buffer and no second traversal. This is the detection-event
-    /// count between two adjacent rounds, and the scalar form of the
-    /// planned `std::simd` XOR+popcount fusion — the loop body is
-    /// already one-load-per-operand, so wider lanes drop in without
-    /// restructuring.
+    /// count between two adjacent rounds.
     ///
     /// # Panics
     ///
@@ -365,6 +400,33 @@ mod tests {
         assert!(dst.is_zero());
         dst.fill_from_bools(&src.to_bools());
         assert_eq!(dst, src);
+    }
+
+    #[test]
+    fn le_bytes_roundtrip_and_mask_padding() {
+        for len in [1usize, 7, 8, 9, 12, 60, 64, 65, 84, 128, 130] {
+            let p: PackedBits = (0..len).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+            let mut bytes = Vec::new();
+            p.extend_le_bytes(&mut bytes);
+            assert_eq!(bytes.len(), len.div_ceil(8), "len {len}");
+            for (i, bit) in p.to_bools().into_iter().enumerate() {
+                assert_eq!((bytes[i / 8] >> (i % 8)) & 1 == 1, bit, "len {len}, bit {i}");
+            }
+            assert_eq!(PackedBits::from_le_bytes(len, &bytes), p, "len {len}");
+            // Set padding bits in the last byte must not survive.
+            if len % 8 != 0 {
+                *bytes.last_mut().unwrap() |= 0xFFu8 << (len % 8);
+            }
+            let hostile = PackedBits::from_le_bytes(len, &bytes);
+            assert_eq!(hostile, p, "len {len}: padding bits must be masked");
+            assert_eq!(hostile.weight(), p.weight());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "byte length mismatch")]
+    fn from_le_bytes_rejects_wrong_length() {
+        let _ = PackedBits::from_le_bytes(9, &[0xFF]);
     }
 
     #[test]

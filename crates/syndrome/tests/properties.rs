@@ -1,9 +1,10 @@
 #![allow(clippy::needless_range_loop)]
 
 //! Property-based tests of the round history and correction algebra,
-//! plus packed-vs-reference equivalence for the word-parallel bitset.
+//! plus packed-vs-reference equivalence for the word-parallel bitset
+//! and the flat plane-major machine batch.
 
-use btwc_syndrome::{Correction, PackedBits, RoundHistory, Syndrome};
+use btwc_syndrome::{BatchHistory, Correction, PackedBits, RoundHistory, Syndrome, SyndromeBatch};
 use proptest::prelude::*;
 
 proptest! {
@@ -323,5 +324,201 @@ mod slide_rebases_like_fresh {
                     h.detection_event_count(), fresh.detection_event_count());
             }
         }
+    }
+}
+
+/// Layout pin of the flat plane-major [`SyndromeBatch`]: under random
+/// interleavings of every writer, every reader equals a
+/// `model[qubit][ancilla]` bool matrix — at qubit counts on both sides
+/// of the one-word-per-plane boundary (contiguous vs strided columns)
+/// and ancilla counts on both sides of the one-word-per-round boundary.
+mod flat_batch_matches_bool_model {
+    use super::*;
+    use std::collections::VecDeque;
+
+    const QUBITS: [usize; 5] = [1, 63, 64, 65, 130];
+    const ANCILLAS: [usize; 6] = [1, 4, 12, 60, 64, 65];
+    const RING: usize = 3;
+
+    type Model = Vec<Vec<bool>>;
+
+    /// Word-boundary columns; writers pick among the ones in range, so
+    /// a short op sequence rewrites the same column more than once.
+    const COLUMNS: [usize; 8] = [0, 1, 62, 63, 64, 65, 128, 129];
+
+    /// `((writer, bit value), column pick, ancilla, round bits)`; the
+    /// ancilla is reduced modulo the width under test.
+    type Op = ((u8, bool), usize, usize, Vec<bool>);
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (
+            (0u8..6, any::<bool>()),
+            0usize..COLUMNS.len(),
+            0usize..65,
+            proptest::collection::vec(proptest::bool::weighted(0.3), 65),
+        )
+    }
+
+    fn check_reads(batch: &SyndromeBatch, model: &Model) {
+        let (nq, na) = (batch.num_qubits(), batch.num_ancillas());
+        // Stale output buffers must be fully overwritten.
+        let mut round = PackedBits::from_bools(&vec![true; na]);
+        for (q, expect) in model.iter().enumerate() {
+            for (a, &bit) in expect.iter().enumerate() {
+                assert_eq!(batch.get(q, a), bit, "get({q}, {a}) at {nq}x{na}");
+            }
+            batch.qubit_round_into(q, &mut round);
+            assert_eq!(&round.to_bools(), expect, "qubit_round_into({q}) at {nq}x{na}");
+        }
+        let mut active = PackedBits::from_bools(&vec![true; nq]);
+        batch.active_qubits_into(&mut active);
+        let expect: Vec<bool> = model.iter().map(|r| r.iter().any(|&b| b)).collect();
+        assert_eq!(active.to_bools(), expect, "active_qubits_into at {nq}x{na}");
+        // No phantom qubit: plane padding past `num_qubits` stays zero.
+        for a in 0..na {
+            let plane = batch.plane_words(a);
+            assert_eq!(plane.len(), nq.div_ceil(64));
+            if !nq.is_multiple_of(64) {
+                assert_eq!(
+                    plane[plane.len() - 1] >> (nq % 64),
+                    0,
+                    "plane {a} padding at {nq}x{na}"
+                );
+            }
+        }
+    }
+
+    fn check_history(history: &BatchHistory, models: &VecDeque<Model>) {
+        let (nq, na) = (history.num_qubits(), history.num_ancillas());
+        assert_eq!(history.len(), models.len());
+        let mut sticky = SyndromeBatch::new(nq, na);
+        for k in 1..=RING {
+            sticky.set_qubit_round_bools(0, &vec![true; na]); // stale
+            history.sticky_into(k, &mut sticky);
+            let expect: Model = (0..nq)
+                .map(|q| {
+                    (0..na)
+                        .map(|a| {
+                            models.len() >= k
+                                && models.iter().skip(models.len() - k).all(|m| m[q][a])
+                        })
+                        .collect()
+                })
+                .collect();
+            check_reads(&sticky, &expect);
+        }
+        let mut window = RoundHistory::new(na, RING);
+        for q in 0..nq {
+            history.gather_qubit_window(q, models.len(), &mut window);
+            assert_eq!(window.len(), models.len());
+            for (t, m) in models.iter().enumerate() {
+                assert_eq!(window.round(t).to_bools(), m[q], "window round {t} of qubit {q}");
+            }
+        }
+    }
+
+    fn run(nq: usize, na: usize, ops: &[Op]) {
+        let mut batches = [SyndromeBatch::new(nq, na), SyndromeBatch::new(nq, na)];
+        let mut models = [vec![vec![false; na]; nq], vec![vec![false; na]; nq]];
+        let mut history = BatchHistory::new(nq, na, RING);
+        let mut history_model: VecDeque<Model> = VecDeque::new();
+        let in_range = COLUMNS.iter().filter(|&&c| c < nq).count();
+        for (i, ((writer, flag), q, a, bits)) in ops.iter().enumerate() {
+            let (q, a, bits) = (COLUMNS[q % in_range], a % na, &bits[..na]);
+            // Writers alternate between two batches so `copy_from`
+            // has an independent source.
+            let target = i % 2;
+            match writer {
+                0 => {
+                    batches[target].set(q, a, *flag);
+                    models[target][q][a] = *flag;
+                }
+                1 => {
+                    batches[target].set_qubit_round(q, &PackedBits::from_bools(bits));
+                    models[target][q] = bits.to_vec();
+                }
+                2 => {
+                    batches[target].set_qubit_round_bools(q, bits);
+                    models[target][q] = bits.to_vec();
+                }
+                3 => {
+                    // A dense column overwritten by the next writer
+                    // exercises the column clear.
+                    batches[target].set_qubit_round(q, &PackedBits::from_bools(&vec![true; na]));
+                    models[target][q] = vec![true; na];
+                }
+                4 => {
+                    batches[target].clear();
+                    models[target] = vec![vec![false; na]; nq];
+                }
+                _ => {
+                    let source = batches[1 - target].clone();
+                    batches[target].copy_from(&source);
+                    models[target] = models[1 - target].clone();
+                }
+            }
+            check_reads(&batches[target], &models[target]);
+            history.push(&batches[target]);
+            history_model.push_back(models[target].clone());
+            if history_model.len() > RING {
+                history_model.pop_front();
+            }
+        }
+        check_history(&history, &history_model);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn random_interleavings(ops in proptest::collection::vec(op_strategy(), 1..16)) {
+            for nq in QUBITS {
+                for na in ANCILLAS {
+                    run(nq, na, &ops);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit index 65 out of range for 65 bits")]
+    fn get_rejects_out_of_range_qubit() {
+        let _ = SyndromeBatch::new(65, 4).get(65, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn get_rejects_out_of_range_ancilla() {
+        let _ = SyndromeBatch::new(65, 4).get(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "bit index 64 out of range for 64 bits")]
+    fn set_rejects_out_of_range_qubit() {
+        SyndromeBatch::new(64, 4).set(64, 0, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn set_rejects_out_of_range_ancilla() {
+        SyndromeBatch::new(130, 4).set(129, 4, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "bit index 1 out of range for 1 bits")]
+    fn scatter_rejects_out_of_range_qubit() {
+        SyndromeBatch::new(1, 4).set_qubit_round(1, &PackedBits::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "bit index 130 out of range for 130 bits")]
+    fn bool_scatter_rejects_out_of_range_qubit() {
+        SyndromeBatch::new(130, 4).set_qubit_round_bools(130, &[false; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 63 out of range")]
+    fn gather_rejects_out_of_range_qubit() {
+        SyndromeBatch::new(63, 4).qubit_round_into(63, &mut PackedBits::new(4));
     }
 }

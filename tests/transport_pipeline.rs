@@ -30,9 +30,7 @@ fn framed_window_decodes_identically_after_the_wire() {
     let received = DecodeRequest::decode(&wire).expect("frame parses");
     assert_eq!(received.qubit, 42);
     let mut window = RoundHistory::new(received.bits_per_round(), received.rounds.len());
-    for r in &received.rounds {
-        window.push(r);
-    }
+    received.replay_into(&mut window);
     let via_wire = decoder.decode_window(&window);
 
     // Reference: decode the same window without the wire trip.
