@@ -231,12 +231,19 @@ fn chained_cluster_benches(entries: &mut Vec<Entry>) -> (f64, f64) {
 /// the incremental state was built for; slide-by-d forces deep slide
 /// compaction each step. Both arms time from a pre-filled, once-decoded
 /// window so slide-by-1 measures the steady state rather than the
-/// fill-up. Returns the incremental/from-scratch speedups at slide 1
-/// for d = 13, 17, 21 (the acceptance bar is ≥ 3x at d ≥ 17).
-fn streaming_benches(entries: &mut Vec<Entry>) -> (f64, f64, f64) {
+/// fill-up. Returns the slide-1 `(incremental, from-scratch)` rates in
+/// rounds/s for d = 13, 17, 21.
+///
+/// Read the two rates, not only their ratio. Since the solver
+/// jump-starts (PR 17) the *denominator* is several times faster — a
+/// from-scratch decode now beats the parent's warm-started incremental
+/// one — so the ratio fell toward 1 while both absolute rates rose; the
+/// old "≥ 3x at d ≥ 17" bar described the slow cold solver, not a
+/// property of streaming, and is retired.
+fn streaming_benches(entries: &mut Vec<Entry>) -> [(f64, f64); 3] {
     let ty = StabilizerType::X;
     let p = 5e-3;
-    let mut slide1_speedups = Vec::new();
+    let mut slide1_rates = Vec::new();
     for &(d, slide1_iters, slided_iters) in
         &[(13u16, 1_200u64, 240u64), (17, 400, 80), (21, 120, 24)]
     {
@@ -291,11 +298,11 @@ fn streaming_benches(entries: &mut Vec<Entry>) -> (f64, f64, f64) {
             });
 
             if slide == 1 {
-                slide1_speedups.push(incremental / fromscratch.max(1e-12));
+                slide1_rates.push((incremental, fromscratch));
             }
         }
     }
-    (slide1_speedups[0], slide1_speedups[1], slide1_speedups[2])
+    [slide1_rates[0], slide1_rates[1], slide1_rates[2]]
 }
 
 fn ler_benches(entries: &mut Vec<Entry>) {
@@ -748,7 +755,9 @@ fn main() {
     let (boolvec, packed) = sticky_benches(&mut entries);
     let (sparse_d13, sparse_d21) = sparse_vs_dense_benches(&mut entries);
     let (chained_d17, chained_d21) = chained_cluster_benches(&mut entries);
-    let (stream_d13, stream_d17, stream_d21) = streaming_benches(&mut entries);
+    let stream_rates = streaming_benches(&mut entries);
+    let [stream_d13, stream_d17, stream_d21] =
+        stream_rates.map(|(incremental, fromscratch)| incremental / fromscratch.max(1e-12));
     ler_benches(&mut entries);
     let sweep_speedup = sweep_benches(&mut entries);
     let pool_mode_speedup = pool_mode_benches(&mut entries);
@@ -773,7 +782,8 @@ fn main() {
     );
     println!(
         "streaming slide-by-1 incremental vs from-scratch sparse: {stream_d13:.1}x at d=13, \
-         {stream_d17:.1}x at d=17, {stream_d21:.1}x at d=21"
+         {stream_d17:.1}x at d=17, {stream_d21:.1}x at d=21 (rounds/s {})",
+        stream_rates.map(|(inc, fs)| format!("{inc:.0} vs {fs:.0}")).join(", ")
     );
     println!("whole-grid pooled sweep vs per-point scoped threads: {sweep_speedup:.1}x");
     println!(

@@ -4,17 +4,14 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use btwc_lattice::{DetectorGraph, StabilizerType, SurfaceCode};
-use btwc_mwpm::project::project_pairs;
 use btwc_pool::Pool;
 use btwc_syndrome::{ComplexDecoder, Correction, DetectionEvent, RoundHistory};
 use btwc_telemetry::{Counter, Domain, Histogram, MetricsRegistry};
 
-use crate::blossom::{
-    remap_stored_blossoms, BlossomArena, ClusterEdge, StoredBlossom, WarmStart, NO_HINT,
-};
+use crate::blossom::ClusterEdge;
 use crate::regions::{merge_colliding_regions, scan_dirty_collisions};
-use crate::scratch::SparseScratch;
-use crate::stream::{record_solution, CachedSolution, Slide, StreamState, DEAD_MEMBER, NO_SOL};
+use crate::scratch::{ClusterScratch, SparseScratch};
+use crate::stream::{record_solution, Slide, StreamState, NO_SOL};
 
 /// Sparse-blossom off-chip decoder: minimum-weight perfect matching of
 /// space-time detection events without ever materializing the dense
@@ -23,23 +20,27 @@ use crate::stream::{record_solution, CachedSolution, Slide, StreamState, DEAD_ME
 /// The decode is a two-phase sparse computation over the detector
 /// graph:
 ///
-/// 1. **Region collision** (see [`crate::regions`]): every event owns a
+/// 1. **Region collision** (see `crate::regions`): every event owns a
 ///    region of the space-time graph whose radius is capped at its own
-///    boundary distance (the virtual boundary twin as a zero-cost
-///    exit). Colliding regions merge into clusters; any matching edge
-///    that could ever beat two boundary exits is provably
+///    boundary distance (the boundary is always there as an exit at
+///    that price). Colliding regions merge into clusters; any matching
+///    edge that could ever beat two boundary exits is provably
 ///    intra-cluster. Collisions are detected in round order with the
 ///    lattice's O(1) precomputed distances, so discovery is
 ///    output-sensitive instead of all-pairs-matrix-shaped.
 /// 2. **Per-cluster exact solve**: singletons exit through the boundary
 ///    (weight = boundary distance), pairs take the cheaper of the direct
 ///    edge and two exits, and larger clusters run the in-crate sparse
-///    blossom ([`crate::blossom`]) on the cluster's *collision edges*
-///    plus boundary twins — alternating trees with blossom shrinking
-///    directly on the sparse graph, never a dense all-pairs table.
+///    blossom ([`crate::blossom`]) on the cluster's *gain graph*: one
+///    vertex per event, one edge per collision weighted by what the
+///    pairing saves over two boundary exits. A maximum-weight matching
+///    of it pairs the events worth pairing and leaves the rest to exit
+///    — alternating trees with blossom shrinking directly on the sparse
+///    graph, never a dense all-pairs table and never a boundary-twin
+///    vertex.
 ///
 /// The total matching weight therefore *equals* the dense
-/// [`btwc_mwpm::MwpmDecoder`]'s on every input — this is a faster exact
+/// `btwc_mwpm::MwpmDecoder`'s on every input — this is a faster exact
 /// decoder, not an approximation (the property suite cross-checks both
 /// against the exponential reference matcher). What changes is the
 /// cost model: the dense path pays O(n²) matrix fill + O(n³) blossom
@@ -53,7 +54,7 @@ use crate::stream::{record_solution, CachedSolution, Slide, StreamState, DEAD_ME
 /// * **Streaming** ([`SparseDecoder::decode_stream_weighted`]): when
 ///   successive calls cover forward slides of one [`RoundHistory`]
 ///   stream, region collisions and committed cluster matchings persist
-///   between calls ([`crate::stream`]) and only the work the slide
+///   between calls (`crate::stream`) and only the work the slide
 ///   invalidated is redone.
 /// * **Pooled cluster solves** ([`SparseDecoder::set_pool`]): the
 ///   independent ≥3-event cluster matchings of one window are
@@ -70,11 +71,11 @@ pub struct SparseDecoder {
     scratch: Mutex<SparseScratch>,
     /// Optional pool for the per-window ≥3-event cluster solves.
     pool: Option<Arc<Pool>>,
-    /// Recycled solver arenas for pooled cluster tasks (pop on task
+    /// Recycled working state for pooled cluster tasks (pop on task
     /// start, push on task end — sized by however many tasks ever ran
     /// concurrently).
-    arena_pool: Mutex<Vec<BlossomArena>>,
-    /// Incremental sliding-window state (see [`crate::stream`]).
+    scratch_pool: Mutex<Vec<ClusterScratch>>,
+    /// Incremental sliding-window state (see `crate::stream`).
     stream: StreamState,
     /// Optional metric handles (see [`SparseDecoder::attach_telemetry`]).
     telemetry: Option<SparseTelemetry>,
@@ -96,20 +97,24 @@ pub(crate) struct SparseTelemetry {
     clusters_solved: Counter,
     /// Event count of every solved cluster.
     cluster_size: Histogram,
-    /// ≥3-event solves that started from an assembled warm hint vs.
-    /// cold, and what the seeding did with each hinted subtree.
-    warm_hinted: Counter,
-    warm_cold: Counter,
-    warm_offered: Counter,
-    warm_imported: Counter,
-    warm_rejected_structure: Counter,
-    warm_rejected_feasibility: Counter,
-    warm_rejected_tightness: Counter,
+    /// ≥3-event clusters — the ones the blossom solver ran on — and,
+    /// per solve, how many stages it took, how many pairs the jump
+    /// start matched before the first, and how many vertices a type-1
+    /// dual step retired.
+    blossom_solves: Counter,
+    solve_stages: Histogram,
+    jump_matched: Counter,
+    retired_vertices: Counter,
 }
 
 impl SparseTelemetry {
     fn register(registry: &MetricsRegistry) -> Self {
         let c = |name: &str| registry.counter(name, Domain::Cycles);
+        // The two `sparse.warm.*` names predate the jump start and stay
+        // registered because `benchmarks/e2e` reads them: every blossom
+        // solve now starts cold, and none is hinted (the counter stays
+        // at zero).
+        let _ = c("sparse.warm.hinted_solves");
         Self {
             quiet_slides: c("sparse.stream.quiet_slides"),
             incremental_slides: c("sparse.stream.incremental_slides"),
@@ -117,13 +122,10 @@ impl SparseTelemetry {
             clusters_replayed: c("sparse.stream.clusters_replayed"),
             clusters_solved: c("sparse.clusters_solved"),
             cluster_size: registry.histogram("sparse.cluster_solve_size", Domain::Cycles),
-            warm_hinted: c("sparse.warm.hinted_solves"),
-            warm_cold: c("sparse.warm.cold_solves"),
-            warm_offered: c("sparse.warm.subtrees_offered"),
-            warm_imported: c("sparse.warm.subtrees_imported"),
-            warm_rejected_structure: c("sparse.warm.subtrees_rejected_structure"),
-            warm_rejected_feasibility: c("sparse.warm.subtrees_rejected_feasibility"),
-            warm_rejected_tightness: c("sparse.warm.subtrees_rejected_tightness"),
+            blossom_solves: c("sparse.warm.cold_solves"),
+            solve_stages: registry.histogram("sparse.solve_stages", Domain::Cycles),
+            jump_matched: c("sparse.jump_matched"),
+            retired_vertices: c("sparse.retired_vertices"),
         }
     }
 }
@@ -135,7 +137,7 @@ impl Clone for SparseDecoder {
             graph: self.graph.clone(),
             scratch: Mutex::new(SparseScratch::new()),
             pool: self.pool.clone(),
-            arena_pool: Mutex::new(Vec::new()),
+            scratch_pool: Mutex::new(Vec::new()),
             // Stream state is a memo over *this* decoder's call
             // history; a clone starts cold and rebuilds on first use.
             stream: StreamState::default(),
@@ -154,7 +156,7 @@ impl SparseDecoder {
             graph: code.detector_graph(ty).clone(),
             scratch: Mutex::new(SparseScratch::new()),
             pool: None,
-            arena_pool: Mutex::new(Vec::new()),
+            scratch_pool: Mutex::new(Vec::new()),
             stream: StreamState::default(),
             telemetry: None,
         }
@@ -183,11 +185,11 @@ impl SparseDecoder {
 
     /// Attach a metrics registry: from here on every decode records
     /// stream fast-path classifications, replayed-vs-solved cluster
-    /// counts, per-cluster solve sizes, and warm-start accept/reject
-    /// reasons under the `sparse.` prefix. All sparse metrics are
-    /// cycle-domain: the per-cluster decisions driving them are
-    /// deterministic, so totals are identical for any pool worker
-    /// count.
+    /// counts, per-cluster solve sizes, and the blossom solver's
+    /// stage, jump-start and retirement counts under the `sparse.`
+    /// prefix. All sparse metrics are cycle-domain: the per-cluster
+    /// decisions driving them are deterministic, so totals are
+    /// identical for any pool worker count.
     pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
         self.telemetry = Some(SparseTelemetry::register(registry));
     }
@@ -212,7 +214,7 @@ impl SparseDecoder {
             events,
             &mut scratch,
             self.pool.as_deref(),
-            &self.arena_pool,
+            &self.scratch_pool,
             None,
             self.telemetry.as_ref(),
         )
@@ -246,7 +248,7 @@ impl SparseDecoder {
             events,
             scratch,
             self.pool.as_deref(),
-            &self.arena_pool,
+            &self.scratch_pool,
             None,
             self.telemetry.as_ref(),
         )
@@ -269,7 +271,7 @@ impl SparseDecoder {
             &events,
             &mut scratch,
             self.pool.as_deref(),
-            &self.arena_pool,
+            &self.scratch_pool,
             None,
             self.telemetry.as_ref(),
         )
@@ -300,7 +302,7 @@ impl SparseDecoder {
             &events,
             scratch,
             self.pool.as_deref(),
-            &self.arena_pool,
+            &self.scratch_pool,
             None,
             self.telemetry.as_ref(),
         );
@@ -344,18 +346,15 @@ impl SparseDecoder {
                     let solutions = &mut self.stream.solutions;
                     let free_slots = &mut self.stream.free_slots;
                     let sol_of = &mut self.stream.sol_of;
-                    let mut rec =
-                        |members: &[u32], w: i64, flips: &[usize], warm: Option<WarmExport<'_>>| {
-                            record_solution(
-                                solutions, free_slots, sol_of, epoch, members, w, flips, warm,
-                            );
-                        };
+                    let mut rec = |members: &[u32], w: i64, flips: &[usize]| {
+                        record_solution(solutions, free_slots, sol_of, epoch, members, w, flips);
+                    };
                     Self::decode_events_with(
                         graph,
                         events,
                         scratch,
                         pool,
-                        &self.arena_pool,
+                        &self.scratch_pool,
                         Some(&mut rec),
                         telemetry,
                     )
@@ -400,18 +399,7 @@ impl SparseDecoder {
                     scratch.root.push(r);
                 }
                 scratch.order.extend(0..n as u32);
-                let SparseScratch {
-                    root,
-                    order,
-                    local_events,
-                    local_id,
-                    cluster_edges,
-                    pairs,
-                    arena,
-                    warm,
-                    warm_seen,
-                    ..
-                } = scratch;
+                let SparseScratch { root, order, cluster, .. } = scratch;
                 order.sort_unstable_by_key(|&i| root[i as usize]);
                 self.stream.edges.sort_unstable_by_key(|e| root[e.u as usize]);
                 let (order, root) = (&*order, &*root);
@@ -425,14 +413,10 @@ impl SparseDecoder {
                 let mut flips: Vec<usize> = Vec::new();
                 let mut total = 0i64;
                 let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
-                let mut task_hints: Vec<Option<WarmHint>> = Vec::new();
                 // Replays dominate a quiet slide (every untouched
                 // cluster is one), so batch them into one atomic add
                 // instead of an RMW per cluster.
                 let mut replayed = 0u64;
-                if local_id.len() < n {
-                    local_id.resize(n, 0);
-                }
                 let (mut start, mut edge_at) = (0usize, 0usize);
                 while start < n {
                     let cluster_root = root[order[start] as usize];
@@ -465,68 +449,34 @@ impl SparseDecoder {
                         sol.last_seen = epoch;
                         total += sol.weight;
                         flips.extend_from_slice(&sol.flips);
+                    } else if pool.is_some() && size >= 3 {
+                        // Miss on a big knot: re-solve it on the pool.
+                        tasks.push((start, end, edge_at, edge_end));
                     } else {
-                        // Miss: re-solve, warm-started from whatever
-                        // cached solutions the surviving members still
-                        // carry — for the window-spanning clusters of
-                        // operational noise, the slide leaves most of
-                        // the previous matching and duals valid, and the
-                        // solver only re-derives the few augmentations
-                        // around the dirty events.
-                        let solve_warm = size >= 3;
-                        if solve_warm {
-                            for (li, &gi) in members.iter().enumerate() {
-                                local_id[gi as usize] = li as u32;
-                            }
-                            assemble_warm(
-                                members,
-                                root,
-                                cluster_root,
-                                local_id,
-                                sol_of,
-                                solutions,
-                                warm,
-                                warm_seen,
-                            );
-                        }
-                        if pool.is_some() && solve_warm {
-                            tasks.push((start, end, edge_at, edge_end));
-                            task_hints.push(warm.has_in.then(|| {
-                                (
-                                    warm.duals_in.clone(),
-                                    warm.pairs_in.clone(),
-                                    warm.w_base_in,
-                                    warm.blossoms_in.clone(),
-                                )
-                            }));
-                        } else {
-                            let flip_start = flips.len();
-                            let w = solve_cluster(
-                                graph,
-                                events,
-                                members,
-                                &edges[edge_at..edge_end],
-                                local_events,
-                                local_id,
-                                cluster_edges,
-                                pairs,
-                                arena,
-                                &mut flips,
-                                solve_warm.then_some(&mut *warm),
-                                telemetry,
-                            );
-                            total += w;
-                            record_solution(
-                                solutions,
-                                free_slots,
-                                sol_of,
-                                epoch,
-                                members,
-                                w,
-                                &flips[flip_start..],
-                                if solve_warm { warm.export() } else { None },
-                            );
-                        }
+                        // Miss: re-solve from scratch. The jump start
+                        // re-derives the untouched part of the old
+                        // matching in two linear passes, so no solver
+                        // state is carried from slide to slide.
+                        let flip_start = flips.len();
+                        let w = solve_cluster(
+                            graph,
+                            events,
+                            members,
+                            &edges[edge_at..edge_end],
+                            cluster,
+                            &mut flips,
+                            telemetry,
+                        );
+                        total += w;
+                        record_solution(
+                            solutions,
+                            free_slots,
+                            sol_of,
+                            epoch,
+                            members,
+                            w,
+                            &flips[flip_start..],
+                        );
                     }
                     edge_at = edge_end;
                     start = end;
@@ -541,19 +491,18 @@ impl SparseDecoder {
                     // `tasks` is only pushed to on the `pool.is_some()`
                     // branch above, so the take cannot fail.
                     let pool = pool.expect("tasks are only collected with a pool");
-                    let arena_pool = &self.arena_pool;
-                    let results = pool.map(&tasks, |i, &(s, e, ea, ee)| {
+                    let scratch_pool = &self.scratch_pool;
+                    let results = pool.map(&tasks, |_i, &(s, e, ea, ee)| {
                         solve_cluster_task(
                             graph,
                             events,
                             &order[s..e],
                             &edges[ea..ee],
-                            arena_pool,
-                            task_hints[i].as_ref(),
+                            scratch_pool,
                             telemetry,
                         )
                     });
-                    for (ti, (w, task_flips, export)) in results.into_iter().enumerate() {
+                    for (ti, (w, task_flips)) in results.into_iter().enumerate() {
                         let (s, e, ..) = tasks[ti];
                         total += w;
                         record_solution(
@@ -564,7 +513,6 @@ impl SparseDecoder {
                             &order[s..e],
                             w,
                             &task_flips,
-                            export.as_ref().map(|(d, p, b, bl)| (&d[..], &p[..], *b, &bl[..])),
                         );
                         flips.extend_from_slice(&task_flips);
                     }
@@ -589,8 +537,8 @@ impl SparseDecoder {
         events: &[DetectionEvent],
         scratch: &mut SparseScratch,
         pool: Option<&Pool>,
-        arena_pool: &Mutex<Vec<BlossomArena>>,
-        mut recorder: Option<&mut dyn FnMut(&[u32], i64, &[usize], Option<WarmExport<'_>>)>,
+        scratch_pool: &Mutex<Vec<ClusterScratch>>,
+        mut recorder: Option<&mut dyn FnMut(&[u32], i64, &[usize])>,
         telemetry: Option<&SparseTelemetry>,
     ) -> (Correction, i64) {
         let n = events.len();
@@ -610,18 +558,7 @@ impl SparseDecoder {
             let r = scratch.find(i);
             scratch.root.push(r);
         }
-        let SparseScratch {
-            root,
-            order,
-            collisions,
-            local_events,
-            local_id,
-            cluster_edges,
-            pairs,
-            arena,
-            warm,
-            ..
-        } = scratch;
+        let SparseScratch { root, order, collisions, cluster, .. } = scratch;
         order.sort_unstable_by_key(|&i| root[i as usize]);
         // Group the collision edges the same way: every edge is
         // intra-cluster by construction, so sorting by one endpoint's
@@ -653,30 +590,18 @@ impl SparseDecoder {
                 tasks.push((start, end, edge_at, edge_end));
             } else {
                 let flip_start = flips.len();
-                // Batch decodes start the solver cold, but a recording
-                // caller (the stream rebuild) wants the solver's final
-                // state exported for the next slide's warm start.
-                let use_warm = recorder.is_some();
-                if use_warm {
-                    warm.has_in = false;
-                }
                 let w = solve_cluster(
                     graph,
                     events,
                     &order[start..end],
                     &collisions[edge_at..edge_end],
-                    local_events,
-                    local_id,
-                    cluster_edges,
-                    pairs,
-                    arena,
+                    cluster,
                     &mut flips,
-                    if use_warm { Some(&mut *warm) } else { None },
                     telemetry,
                 );
                 total += w;
                 if let Some(rec) = recorder.as_deref_mut() {
-                    rec(&order[start..end], w, &flips[flip_start..], warm.export());
+                    rec(&order[start..end], w, &flips[flip_start..]);
                 }
             }
             edge_at = edge_end;
@@ -693,24 +618,18 @@ impl SparseDecoder {
                     events,
                     &order[s..e],
                     &collisions[ea..ee],
-                    arena_pool,
-                    None,
+                    scratch_pool,
                     telemetry,
                 )
             });
             // Fold in cluster (task) order: deterministic for any
             // worker count, and `Correction::from_flips` normalizes
             // flip order, so pooled == inline bit-for-bit.
-            for (ti, (w, task_flips, export)) in results.into_iter().enumerate() {
+            for (ti, (w, task_flips)) in results.into_iter().enumerate() {
                 let (s, e, ..) = tasks[ti];
                 total += w;
                 if let Some(rec) = recorder.as_deref_mut() {
-                    rec(
-                        &order[s..e],
-                        w,
-                        &task_flips,
-                        export.as_ref().map(|(d, p, b, bl)| (&d[..], &p[..], *b, &bl[..])),
-                    );
+                    rec(&order[s..e], w, &task_flips);
                 }
                 flips.extend_from_slice(&task_flips);
             }
@@ -719,167 +638,31 @@ impl SparseDecoder {
     }
 }
 
-/// Recycled buffers carrying blossom warm-start state around one
-/// cluster solve: the assembled input hint (from the surviving cached
-/// solutions of the cluster's events) and the solver's exported output
-/// state (stored back into the cache for the next slide).
-/// A solver warm export in `record_solution` form:
-/// `(duals, pairs, w_base, blossoms)`.
-pub(crate) type WarmExport<'a> = (&'a [i64], &'a [(u32, u32)], i64, &'a [StoredBlossom]);
-
-#[derive(Debug, Default)]
-pub(crate) struct WarmBufs {
-    duals_in: Vec<i64>,
-    pairs_in: Vec<(u32, u32)>,
-    blossoms_in: Vec<StoredBlossom>,
-    w_base_in: i64,
-    has_in: bool,
-    duals_out: Vec<i64>,
-    pairs_out: Vec<(u32, u32)>,
-    blossoms_out: Vec<StoredBlossom>,
-    w_base_out: i64,
-    has_out: bool,
-}
-
-impl WarmBufs {
-    /// The last solve's exported warm state, in `record_solution` form.
-    fn export(&self) -> Option<WarmExport<'_>> {
-        self.has_out.then(|| {
-            (&self.duals_out[..], &self.pairs_out[..], self.w_base_out, &self.blossoms_out[..])
-        })
-    }
-}
-
-/// Assembles a [`WarmStart`] hint for the cluster `members` (local ids
-/// = positions, two-copy twins at `+k`) out of the cached solutions its
-/// events carried into this decode. A slide leaves most of a big
-/// cluster's events pointing at last decode's solved slot(s); their
-/// exported duals and matched pairs — remapped to the new local ids,
-/// shifted onto a common complement base, with retired/dirty endpoints
-/// dropped — seed the solver so it only re-derives the matching around
-/// what actually changed. Assembly is purely a read of the slab; the
-/// solver treats the hint as untrusted (see [`WarmStart`]), so a stale
-/// entry can cost time but never exactness.
-#[allow(clippy::too_many_arguments)]
-fn assemble_warm(
-    members: &[u32],
-    root: &[u32],
-    cluster_root: u32,
-    local_id: &[u32],
-    sol_of: &[u32],
-    solutions: &[CachedSolution],
-    bufs: &mut WarmBufs,
-    seen: &mut Vec<u32>,
-) {
-    let k = members.len();
-    bufs.has_in = false;
-    bufs.duals_in.clear();
-    bufs.pairs_in.clear();
-    bufs.blossoms_in.clear();
-    seen.clear();
-    let mut w_base = 0i64;
-    for &m in members {
-        let s = sol_of[m as usize];
-        if s == NO_SOL || seen.contains(&s) {
-            continue;
-        }
-        let sol = &solutions[s as usize];
-        if sol.duals.is_empty() {
-            continue;
-        }
-        seen.push(s);
-        w_base = w_base.max(sol.w_base);
-    }
-    if seen.is_empty() {
-        return;
-    }
-    bufs.duals_in.resize(2 * k, NO_HINT);
-    for &s in seen.iter() {
-        let sol = &solutions[s as usize];
-        let k_old = sol.size as usize;
-        debug_assert_eq!(sol.duals.len(), 2 * k_old);
-        let shift = 2 * (w_base - sol.w_base);
-        // A stored member's warm state carries over iff the event
-        // survived (not tombstoned), still points at this slot, and
-        // landed in this cluster — then `local_id` knows its new
-        // position, and its boundary twin follows at `+k`.
-        let new_local = |x: u32| -> Option<usize> {
-            let (ol, twin) =
-                if (x as usize) < k_old { (x as usize, 0) } else { (x as usize - k_old, k) };
-            let g = sol.members[ol];
-            if g == DEAD_MEMBER {
-                return None;
-            }
-            let gi = g as usize;
-            (sol_of[gi] == s && root[gi] == cluster_root).then(|| local_id[gi] as usize + twin)
-        };
-        for (ol, &g) in sol.members.iter().enumerate() {
-            if let Some(nl) = new_local(ol as u32) {
-                let gi = g as usize;
-                debug_assert_eq!(members[nl], gi as u32);
-                // NO_HINT sentinels stay sentinels — a shifted
-                // sentinel would read as a real (and absurd) dual.
-                let (de, dt) = (sol.duals[ol], sol.duals[ol + k_old]);
-                bufs.duals_in[nl] = if de == NO_HINT { NO_HINT } else { de + shift };
-                bufs.duals_in[nl + k] = if dt == NO_HINT { NO_HINT } else { dt + shift };
-            }
-        }
-        for &(a, b) in &sol.lpairs {
-            if let (Some(na), Some(nb)) = (new_local(a), new_local(b)) {
-                bufs.pairs_in.push((na as u32, nb as u32));
-            }
-        }
-        // Blossom subtrees ride along under the same remap: one with a
-        // retired or strayed member flattens its z into the duals just
-        // assembled above (which is why duals go first).
-        remap_stored_blossoms(
-            &sol.blossoms,
-            |x| new_local(x).map(|nl| nl as u32),
-            &mut bufs.duals_in,
-            &mut bufs.blossoms_in,
-        );
-    }
-    bufs.w_base_in = w_base;
-    bufs.has_in = true;
-}
-
 /// Solves one cluster exactly, appending its data-qubit flips to
 /// `flips` and returning its matching weight. `members` are indices
 /// into `events` (the cluster's events, in walk order); `collisions`
-/// its collision edges (global event indices). With `warm`, a ≥3-event
-/// solve starts from the assembled hint (when one is present) and
-/// exports its final state back into the buffers.
-#[allow(clippy::too_many_arguments)]
+/// its collision edges (global event indices, space-time distances).
 pub(crate) fn solve_cluster(
     graph: &DetectorGraph,
     events: &[DetectionEvent],
     members: &[u32],
     collisions: &[ClusterEdge],
-    local_events: &mut Vec<DetectionEvent>,
-    local_id: &mut Vec<u32>,
-    cluster_edges: &mut Vec<ClusterEdge>,
-    pairs: &mut Vec<(usize, usize)>,
-    arena: &mut BlossomArena,
+    scratch: &mut ClusterScratch,
     flips: &mut Vec<usize>,
-    mut warm: Option<&mut WarmBufs>,
     telemetry: Option<&SparseTelemetry>,
 ) -> i64 {
-    if let Some(w) = warm.as_deref_mut() {
-        debug_assert!(!w.has_in || members.len() >= 3, "warm hints are for arena solves");
-        w.has_out = false;
-    }
     if let Some(tel) = telemetry {
         tel.clusters_solved.inc();
         tel.cluster_size.record(members.len() as u64);
     }
+    let ancilla = |local: usize| events[members[local] as usize].ancilla;
     match members.len() {
         0 => 0,
         // A lone defect: its region met nobody within its own
         // boundary distance, so the boundary exit is optimal.
         1 => {
-            let ev = &events[members[0] as usize];
-            flips.extend(graph.path_to_boundary(ev.ancilla));
-            i64::from(graph.boundary_distance(ev.ancilla))
+            flips.extend(graph.path_to_boundary(ancilla(0)));
+            i64::from(graph.boundary_distance(ancilla(0)))
         }
         // A pair: the direct edge against two boundary exits.
         2 => {
@@ -897,129 +680,72 @@ pub(crate) fn solve_cluster(
                 exits
             }
         }
-        // A bigger knot: the in-solver sparse blossom over the
-        // cluster's *collision edges* plus boundary twins. The
-        // two-copy construction keeps the graph sparse: each
-        // event connects to its own twin (weight = its boundary
-        // exit), and every collision edge is mirrored between
-        // the twins at weight zero, so however many events pair
-        // up, the leftover twins can always pair off for free —
-        // an optimal matching never needs an edge the region
-        // scan did not discover.
+        // A bigger knot: the in-solver sparse blossom on the cluster's
+        // gain graph. Start from every event exiting through the
+        // boundary (`Σ bd`); pairing `u` with `v` instead saves
+        // `bd(u) + bd(v) − d(u, v)`, which is positive exactly on the
+        // collision edges, so the cheapest decode is a maximum-weight
+        // matching over them and whoever it leaves unmatched exits.
         k => {
+            let ClusterScratch { local_id, cluster_edges, pairs, matched, arena } = scratch;
             if local_id.len() < events.len() {
                 local_id.resize(events.len(), 0);
             }
-            local_events.clear();
-            local_events.extend(members.iter().map(|&i| events[i as usize]));
             for (li, &gi) in members.iter().enumerate() {
                 local_id[gi as usize] = li as u32;
             }
+            let bd = |local: usize| i64::from(graph.boundary_distance(ancilla(local)));
             cluster_edges.clear();
-            for e in collisions {
+            cluster_edges.extend(collisions.iter().map(|e| {
                 let (lu, lv) = (local_id[e.u as usize], local_id[e.v as usize]);
-                cluster_edges.push(ClusterEdge::new(lu, lv, e.weight));
-                cluster_edges.push(ClusterEdge::new(lu + k as u32, lv + k as u32, 0));
-            }
-            for (li, ev) in local_events.iter().enumerate() {
-                cluster_edges.push(ClusterEdge::new(
-                    li as u32,
-                    (li + k) as u32,
-                    i64::from(graph.boundary_distance(ev.ancilla)),
-                ));
-            }
-            let hinted = warm.as_deref().is_some_and(|w| w.has_in);
-            let total = match warm {
-                Some(w) => {
-                    let hint = WarmStart {
-                        duals: &w.duals_in,
-                        pairs: &w.pairs_in,
-                        w_base: w.w_base_in,
-                        blossoms: &w.blossoms_in,
-                    };
-                    let t =
-                        arena.solve_warm(2 * k, cluster_edges, pairs, w.has_in.then_some(&hint));
-                    w.w_base_out =
-                        arena.export_warm(&mut w.duals_out, &mut w.pairs_out, &mut w.blossoms_out);
-                    w.has_out = true;
-                    t
-                }
-                None => arena.solve(2 * k, cluster_edges, pairs),
-            };
+                ClusterEdge::new(lu, lv, bd(lu as usize) + bd(lv as usize) - e.weight)
+            }));
+            let gain = arena.solve(k, cluster_edges, pairs);
             if let Some(tel) = telemetry {
-                if hinted {
-                    tel.warm_hinted.inc();
-                } else {
-                    tel.warm_cold.inc();
-                }
-                let st = arena.warm_seed_stats();
-                tel.warm_offered.add(st.subtrees_offered);
-                tel.warm_imported.add(st.subtrees_imported);
-                tel.warm_rejected_structure.add(st.rejected_structure);
-                tel.warm_rejected_feasibility.add(st.rejected_feasibility);
-                tel.warm_rejected_tightness.add(st.rejected_tightness);
+                let st = arena.stats();
+                tel.blossom_solves.inc();
+                tel.solve_stages.record(u64::from(st.stages));
+                tel.jump_matched.add(u64::from(st.jump_matched));
+                tel.retired_vertices.add(u64::from(st.retired));
             }
-            project_pairs(graph, local_events, pairs, flips);
-            total
+            matched.clear();
+            matched.resize(k, false);
+            for &(u, v) in pairs.iter() {
+                flips.extend(graph.path(ancilla(u), ancilla(v)));
+                matched[u] = true;
+                matched[v] = true;
+            }
+            let mut exits = 0i64;
+            for (local, &paired) in matched.iter().enumerate() {
+                exits += bd(local);
+                if !paired {
+                    flips.extend(graph.path_to_boundary(ancilla(local)));
+                }
+            }
+            exits - gain
         }
     }
 }
 
-/// The warm state a pooled cluster task carries in and out: the
-/// assembled hint (owned, so the task borrows nothing mutable) and the
-/// solver's export, in `(duals, pairs, w_base, blossoms)` form.
-type WarmHint = (Vec<i64>, Vec<(u32, u32)>, i64, Vec<StoredBlossom>);
-
-/// [`solve_cluster`] packaged as one pool task: takes a recycled arena
-/// from (and returns it to) the shared arena pool, and reports the
-/// cluster's weight, flips, and exported warm state for the in-order
-/// fold on the caller.
+/// [`solve_cluster`] packaged as one pool task: takes a recycled
+/// [`ClusterScratch`] from (and returns it to) the shared pool, and
+/// reports the cluster's weight and flips for the in-order fold on the
+/// caller.
 fn solve_cluster_task(
     graph: &DetectorGraph,
     events: &[DetectionEvent],
     members: &[u32],
     collisions: &[ClusterEdge],
-    arena_pool: &Mutex<Vec<BlossomArena>>,
-    hint: Option<&WarmHint>,
+    scratch_pool: &Mutex<Vec<ClusterScratch>>,
     telemetry: Option<&SparseTelemetry>,
-) -> (i64, Vec<usize>, Option<WarmHint>) {
-    let mut arena =
-        arena_pool.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default();
-    let mut local_events = Vec::new();
-    let mut local_id = Vec::new();
-    let mut cluster_edges = Vec::new();
-    let mut pairs = Vec::new();
+) -> (i64, Vec<usize>) {
+    let mut scratch =
+        scratch_pool.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default();
     let mut flips = Vec::new();
-    let mut warm = WarmBufs::default();
-    if let Some((duals, wpairs, w_base, blossoms)) = hint {
-        warm.duals_in.extend_from_slice(duals);
-        warm.pairs_in.extend_from_slice(wpairs);
-        warm.blossoms_in.extend_from_slice(blossoms);
-        warm.w_base_in = *w_base;
-        warm.has_in = true;
-    }
-    let weight = solve_cluster(
-        graph,
-        events,
-        members,
-        collisions,
-        &mut local_events,
-        &mut local_id,
-        &mut cluster_edges,
-        &mut pairs,
-        &mut arena,
-        &mut flips,
-        Some(&mut warm),
-        telemetry,
-    );
-    arena_pool.lock().unwrap_or_else(PoisonError::into_inner).push(arena);
-    let export = warm.has_out.then_some((
-        warm.duals_out,
-        warm.pairs_out,
-        warm.w_base_out,
-        warm.blossoms_out,
-    ));
-    (weight, flips, export)
+    let weight =
+        solve_cluster(graph, events, members, collisions, &mut scratch, &mut flips, telemetry);
+    scratch_pool.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
+    (weight, flips)
 }
 
 impl ComplexDecoder for SparseDecoder {
@@ -1293,12 +1019,22 @@ mod tests {
         assert_eq!(quiet + incr + rebuilds, calls, "every call classifies exactly once");
         assert!(rebuilds >= 1, "first call must rebuild");
         assert!(snap.get_counter("sparse.clusters_solved").unwrap() > 0);
-        match snap.get("sparse.cluster_solve_size").unwrap() {
-            btwc_telemetry::MetricValue::Histogram { count, .. } => {
-                assert_eq!(*count, snap.get_counter("sparse.clusters_solved").unwrap());
-            }
+        let histogram_count = |name: &str| match snap.get(name).unwrap() {
+            btwc_telemetry::MetricValue::Histogram { count, .. } => *count,
             other => panic!("unexpected metric value {other:?}"),
-        }
+        };
+        assert_eq!(
+            histogram_count("sparse.cluster_solve_size"),
+            snap.get_counter("sparse.clusters_solved").unwrap()
+        );
+        // Every ≥3-event cluster is one cold blossom solve with one
+        // stage-count sample; nothing is hinted any more.
+        let blossom_solves = snap.get_counter("sparse.warm.cold_solves").unwrap();
+        assert!(blossom_solves > 0, "no cluster reached the blossom solver");
+        assert_eq!(histogram_count("sparse.solve_stages"), blossom_solves);
+        assert_eq!(snap.get_counter("sparse.warm.hinted_solves"), Some(0));
+        assert!(snap.get_counter("sparse.jump_matched").unwrap() > 0);
+        assert!(snap.get_counter("sparse.retired_vertices").is_some());
     }
 
     #[test]

@@ -3,20 +3,35 @@
 //!
 //! The BTWC hierarchy keeps Clique on-chip and ships only rare complex
 //! windows to the off-chip matcher. The workspace's dense baseline
-//! ([`btwc_mwpm::MwpmDecoder`]) solves those windows with an O(n³)
+//! (`btwc_mwpm::MwpmDecoder`) solves those windows with an O(n³)
 //! blossom over *every* event pair; this crate replaces that with the
 //! sparse-blossom structure (à la PyMatching v2): work directly on the
 //! space-time detector graph, give each detection event a region whose
-//! radius is its boundary-exit bid (the virtual boundary twin as a
-//! zero-cost exit), discover matchable edges lazily by detecting region
-//! collisions in round order — each check one O(1) lookup in the
+//! radius is its boundary-exit bid (the boundary is always there as an
+//! exit at that price), discover matchable edges lazily by detecting
+//! region collisions in round order — each check one O(1) lookup in the
 //! lattice's once-per-code distance tables, with a time-horizon prune
 //! ending every scan early — and match the resulting clusters with the
-//! in-crate sparse blossom solver ([`blossom`]): alternating trees,
-//! dual adjustments (dynamic region radii), and blossom shrinking run
-//! directly on the discovered collision edges, so a cluster of any
-//! size — even a chained cluster spanning most of a window — is matched
-//! without ever materializing a dense all-pairs table.
+//! in-crate sparse blossom solver ([`blossom`]) on each cluster's
+//! **gain graph**: the cluster's k events are the vertices, its
+//! collisions the edges, and an edge weighs what pairing its two events
+//! saves over two boundary exits, `bd(u) + bd(v) − d(u, v)` — positive
+//! exactly when the regions collide. A maximum-weight matching of that
+//! graph, in which any vertex may stay unmatched, is the minimum-weight
+//! decode: unmatched events exit through the boundary and the cluster
+//! weighs `Σ bd − Σ matched gain`. Alternating trees, dual adjustments
+//! (dynamic region radii) and blossom shrinking run directly on the
+//! discovered collision edges, so a cluster of any size — even a
+//! chained cluster spanning most of a window — is matched without a
+//! dense all-pairs table and without boundary-twin vertices. The solver
+//! is exact from any dual-feasible start (an event whose dual runs out
+//! is *retired* to its boundary exit), which is what lets every solve
+//! **jump-start**: duals begin at each event's best incident gain, and
+//! each event in turn, if still exposed, drops its dual until an edge
+//! is tight (matching along it if it can — mutually-best partners are
+//! tight from the start) or it retires — most clusters are solved
+//! before the first stage, instead of descending from a uniform maximum
+//! one stage per pair.
 //!
 //! The result is exact — identical total matching weight to the dense
 //! blossom on every input, which the property suite verifies against
@@ -40,10 +55,9 @@
 //! scans only the dirty front/tail events for new collisions, and
 //! re-solves only the clusters those rounds actually touch — quiet
 //! slides return the committed correction without touching the solver
-//! at all. Re-solved clusters are warm-started from their previous
-//! duals, matched pairs, and blossom structure (majority-parity
-//! normalized, with fresh events pre-paired mutual-best), so even a
-//! touched cluster restarts near its old optimum instead of from zero.
+//! at all. A touched cluster is simply solved again: the jump start
+//! recovers the undisturbed part of its old matching in two linear
+//! passes, so no solver state is carried from slide to slide.
 //! Everything stays exact: the streamed result is pinned bit-identical
 //! in weight to a from-scratch decode of every window position by the
 //! streamed differential fuzz in `tests/sparse_vs_dense.rs`.
@@ -80,6 +94,6 @@ mod regions;
 mod scratch;
 mod stream;
 
-pub use blossom::{BlossomArena, ClusterEdge, WarmSeedStats};
+pub use blossom::{BlossomArena, ClusterEdge, SolveStats};
 pub use decoder::SparseDecoder;
 pub use scratch::SparseScratch;

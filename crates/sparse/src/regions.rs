@@ -6,8 +6,8 @@
 //! hops between adjacent rounds, all unit weight — exactly the metric
 //! the dense decoder's `distance + |Δround|` closure encodes). The
 //! region's radius is capped at the event's own boundary distance: the
-//! virtual boundary twin is a zero-cost exit, so an event never bids
-//! more than its exit price for a partner. Two regions collide iff
+//! boundary is always there as an exit at that price, so an event never
+//! bids more than it for a partner. Two regions collide iff
 //!
 //! ```text
 //! d(u, v) = distance(aᵤ, aᵥ) + |tᵤ − tᵥ|  <  bd(u) + bd(v)

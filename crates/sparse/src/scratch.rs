@@ -3,15 +3,38 @@
 //! Every array the sparse decode kernel touches lives here and is
 //! recycled across decodes (cleared, never reallocated once grown to
 //! the largest event count seen): the union-find over events, the
-//! collision edge list the region scan discovers, the per-cluster
-//! local graph, and the [`BlossomArena`] holding the sparse blossom
-//! solver's alternating-tree and blossom tables. Warmed up, a decode
-//! allocates only what leaves in its return value: the `Correction`'s
-//! flip list.
+//! collision edge list the region scan discovers, and a
+//! [`ClusterScratch`] — the cluster's local gain graph, the matching
+//! the solver returns, and the [`BlossomArena`] holding the sparse
+//! blossom solver's alternating-tree and blossom tables. Pooled
+//! cluster tasks recycle whole `ClusterScratch`es the same way.
+//! Warmed up, a decode allocates only what leaves in its return value:
+//! the `Correction`'s flip list.
 
 use btwc_syndrome::DetectionEvent;
 
 use crate::blossom::{BlossomArena, ClusterEdge};
+
+/// Everything one ≥3-event cluster solve works in: the inline decode
+/// keeps one inside its [`SparseScratch`], and each pooled cluster task
+/// borrows one from the decoder's pool for its duration.
+#[derive(Debug, Default)]
+pub(crate) struct ClusterScratch {
+    /// Local index (position within the cluster being solved) of each
+    /// of its events, indexed by global event index. Only read for
+    /// events of the current cluster, which always writes first.
+    pub(crate) local_id: Vec<u32>,
+    /// The cluster's gain graph over local indices, and the matched
+    /// pairs the solver returns.
+    pub(crate) cluster_edges: Vec<ClusterEdge>,
+    pub(crate) pairs: Vec<(usize, usize)>,
+    /// Which local events the matching paired; the rest exit through
+    /// the boundary.
+    pub(crate) matched: Vec<bool>,
+    /// Recycled alternating-tree / blossom tables of the sparse
+    /// blossom solver (sized by the largest cluster seen).
+    pub(crate) arena: BlossomArena,
+}
 
 /// Scratch for [`crate::SparseDecoder`]; grows monotonically to the
 /// largest decode seen and is never shrunk.
@@ -30,26 +53,11 @@ pub struct SparseScratch {
     /// matches on (global event indices; sorted by cluster root before
     /// the per-cluster solves).
     pub(crate) collisions: Vec<ClusterEdge>,
-    /// Events of the cluster currently being solved, and the local
-    /// index (position within the cluster) of each of its events.
-    pub(crate) local_events: Vec<DetectionEvent>,
-    pub(crate) local_id: Vec<u32>,
-    /// The cluster's local two-copy graph (events + boundary twins) and
-    /// the matched pairs the solver returns.
-    pub(crate) cluster_edges: Vec<ClusterEdge>,
-    pub(crate) pairs: Vec<(usize, usize)>,
-    /// Recycled alternating-tree / blossom tables of the sparse
-    /// blossom solver (sized by the largest cluster seen).
-    pub(crate) arena: BlossomArena,
+    /// Working state of the cluster currently being solved.
+    pub(crate) cluster: ClusterScratch,
     /// Detection events of the window being decoded (filled by
     /// `decode_window`).
     pub(crate) events: Vec<DetectionEvent>,
-    /// Warm-start assembly/export buffers around each cluster solve
-    /// (see [`crate::decoder::WarmBufs`]).
-    pub(crate) warm: crate::decoder::WarmBufs,
-    /// Slots already folded into the warm assembly of the current
-    /// cluster (tiny; linear membership checks).
-    pub(crate) warm_seen: Vec<u32>,
 }
 
 impl SparseScratch {
@@ -70,10 +78,6 @@ impl SparseScratch {
         self.root.clear();
         self.order.clear();
         self.collisions.clear();
-        // `local_id` is only read for events of the cluster being
-        // solved, which always writes first — no reset needed beyond
-        // sizing.
-        self.local_id.resize(num_events, 0);
     }
 
     /// Union-find root of event `x`, with path halving.

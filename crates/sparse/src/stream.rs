@@ -23,8 +23,13 @@
 //!   solution slot, with a matching member count, is provably the same
 //!   subproblem it was last time (same members, same edges, weights
 //!   shift-invariant, flips purely spatial) and its committed matching
-//!   is replayed without solving. Slots not referenced by the current
-//!   window are reclaimed by a mark-and-sweep keyed on a decode epoch.
+//!   is replayed without solving. A cluster that misses is solved
+//!   again from its events and edges alone — the solver's jump start
+//!   ([`crate::blossom`]) recovers the undisturbed part of the old
+//!   matching in two linear passes, so a slot holds only the result
+//!   (weight and flips), never solver state. Slots not referenced by
+//!   the current window are reclaimed by a mark-and-sweep keyed on a
+//!   decode epoch.
 //!
 //! A **quiet slide** — every retired round carried zero events and
 //! every appended round adds none — changes nothing at all (an all-zero
@@ -45,10 +50,6 @@ use crate::blossom::ClusterEdge;
 /// Sentinel for "event has no cached cluster solution".
 pub(crate) const NO_SOL: u32 = u32::MAX;
 
-/// Sentinel in [`CachedSolution::members`] for a member that retired
-/// (its warm state is dead, the rest of the slot's may still be used).
-pub(crate) const DEAD_MEMBER: u32 = u32::MAX;
-
 /// One committed per-cluster matching, replayable while its cluster
 /// survives unchanged.
 #[derive(Debug, Default)]
@@ -62,23 +63,6 @@ pub(crate) struct CachedSolution {
     /// Committed data-qubit flips (spatial only — invariant under the
     /// uniform round shift of a slide).
     pub(crate) flips: Vec<usize>,
-    /// The solved cluster's members as *current* event indices, in the
-    /// local-id order of the solve ([`StreamState::apply_slide`] remaps
-    /// them; retired members become [`DEAD_MEMBER`]). The anchor that
-    /// lets `duals`/`lpairs` survive slides.
-    pub(crate) members: Vec<u32>,
-    /// Final per-node blossom duals of the cluster's two-copy solve
-    /// (`2 * size` entries: events then boundary twins, in member
-    /// order). Empty for clusters solved without the blossom (< 3
-    /// events) — they carry no warm state.
-    pub(crate) duals: Vec<i64>,
-    /// Matched pairs of the two-copy solve, as local node ids.
-    pub(crate) lpairs: Vec<(u32, u32)>,
-    /// Surviving blossoms of the two-copy solve (local node ids), for
-    /// structural re-instantiation by the next warm start.
-    pub(crate) blossoms: Vec<crate::blossom::StoredBlossom>,
-    /// Complement base the duals were exported under.
-    pub(crate) w_base: i64,
     /// Decode epoch that last referenced this slot (mark for the
     /// sweep); dead slots are recycled through the free list.
     pub(crate) last_seen: u64,
@@ -241,21 +225,6 @@ impl StreamState {
             true
         });
 
-        // Cached solutions anchor their warm state (duals, pairs) on
-        // member event indices: apply the same uniform remap, tombstoning
-        // retired members (the slot itself may still warm-start the
-        // surviving majority of its cluster).
-        for sol in &mut self.solutions {
-            if sol.free {
-                continue;
-            }
-            for m in &mut sol.members {
-                if *m != DEAD_MEMBER {
-                    *m = if *m < dropped32 { DEAD_MEMBER } else { *m - dropped32 + front32 };
-                }
-            }
-        }
-
         // Appended rounds: enumerate each new round's diff against its
         // predecessor (present for every appended round — overlap >= 1
         // is part of the Incremental contract).
@@ -302,10 +271,6 @@ impl StreamState {
             if !sol.free && sol.last_seen != self.epoch {
                 sol.free = true;
                 sol.flips.clear();
-                sol.members.clear();
-                sol.duals.clear();
-                sol.lpairs.clear();
-                sol.blossoms.clear();
                 self.free_slots.push(i as u32);
             }
         }
@@ -326,11 +291,7 @@ impl StreamState {
 /// Stores a solved cluster's matching in the slab and points its
 /// members at the slot. A free function over the split-out slab fields
 /// so the decode walk can record while the event and edge arrays are
-/// immutably borrowed. `warm` is the blossom's exported
-/// `(duals, pairs, w_base, blossoms)` for clusters solved by the arena
-/// — the seed for warm-starting whatever cluster these events land in
-/// next.
-#[allow(clippy::too_many_arguments)]
+/// immutably borrowed.
 pub(crate) fn record_solution(
     solutions: &mut Vec<CachedSolution>,
     free_slots: &mut Vec<u32>,
@@ -339,7 +300,6 @@ pub(crate) fn record_solution(
     members: &[u32],
     weight: i64,
     flips: &[usize],
-    warm: Option<crate::decoder::WarmExport<'_>>,
 ) {
     let slot = match free_slots.pop() {
         Some(s) => s,
@@ -353,19 +313,6 @@ pub(crate) fn record_solution(
     sol.weight = weight;
     sol.flips.clear();
     sol.flips.extend_from_slice(flips);
-    sol.members.clear();
-    sol.members.extend_from_slice(members);
-    sol.duals.clear();
-    sol.lpairs.clear();
-    sol.blossoms.clear();
-    sol.w_base = 0;
-    if let Some((duals, lpairs, w_base, blossoms)) = warm {
-        debug_assert_eq!(duals.len(), 2 * members.len());
-        sol.duals.extend_from_slice(duals);
-        sol.lpairs.extend_from_slice(lpairs);
-        sol.blossoms.extend_from_slice(blossoms);
-        sol.w_base = w_base;
-    }
     sol.last_seen = epoch;
     sol.free = false;
     for &m in members {

@@ -228,8 +228,8 @@ mod forced_blossoms {
     }
 
     /// Seven events hugging the open boundary: every exit is cheap, so
-    /// the optimum mixes direct pairs with boundary twins — the twin
-    /// side of the two-copy construction does real work here.
+    /// the optimum mixes direct pairs with boundary exits — the solver
+    /// has to leave the right events unmatched.
     #[test]
     fn boundary_twin_heavy_cluster_of_seven() {
         let code = SurfaceCode::new(13);

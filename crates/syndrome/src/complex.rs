@@ -61,7 +61,7 @@ pub trait ComplexDecoder {
     }
 
     /// Attach a metrics registry: from here on the decoder records its
-    /// internals (stream fast-path hits, warm-start outcomes, cluster
+    /// internals (stream fast-path hits, solver stage counts, cluster
     /// sizes, …) into `registry`. The default is a no-op so stateless or
     /// uninstrumented decoders participate unchanged; implementations
     /// register their metrics under a stable `<backend>.` name prefix.
