@@ -6,16 +6,8 @@
 //! provisioned link's Gbps budget ([`crate::IoModel`]) is spent on —
 //! with encode/decode round-trip guarantees.
 //!
-//! Two frame versions exist (both big endian):
-//!
-//! **v1** — the original header-only framing, kept for compatibility:
-//!
-//! ```text
-//! [qubit: u32][cycle: u64][rounds: u16][bits_per_round: u16][payload…]
-//! ```
-//!
-//! **v2** — the fault-tolerant framing the machine tier ships: a magic
-//! and version for self-description, a per-qubit sequence number for
+//! The frame (format **v2**, big endian) carries a magic and version
+//! for self-description, a per-qubit sequence number for
 //! duplicate/reorder detection, and a trailing CRC-32 over everything
 //! before it, so *any* single-bit corruption of header or payload is
 //! caught ([`ParseFrameError::ChecksumMismatch`] or a structural
@@ -37,11 +29,6 @@
 //! which masks padding bits a hostile sender may have set), and
 //! [`DecodeRequest::replay_into`] pushes the rows back packed — no
 //! bool ⇄ word round trip anywhere on the escalation path.
-//!
-//! [`DecodeRequest::decode`] discriminates the two versions by the v2
-//! magic; v1 qubit ids `>= 0xB7C2_0000` are therefore reserved (their
-//! first two header bytes would collide with the magic) — use
-//! [`DecodeRequest::decode_v1`] to force the legacy parse.
 
 use btwc_syndrome::{PackedBits, RoundHistory};
 use bytes::{Buf, BufMut, Bytes};
@@ -92,9 +79,9 @@ pub struct DecodeRequest {
     pub qubit: u32,
     /// Machine cycle at which the request was raised.
     pub cycle: u64,
-    /// Per-qubit sequence number (v2 frames only; v1 parses yield 0).
-    /// Retransmissions of the same request reuse the same number, so
-    /// the receiver can tell a duplicate from the next request.
+    /// Per-qubit sequence number. Retransmissions of the same request
+    /// reuse the same number, so the receiver can tell a duplicate from
+    /// the next request.
     pub seq: u32,
     /// Raw syndrome rounds, oldest first; word-packed, all the same
     /// width.
@@ -108,7 +95,7 @@ pub enum ParseFrameError {
     TruncatedHeader,
     /// The header is structurally impossible: no well-formed encoder
     /// emits it (the invariants [`DecodeRequest::new`] enforces —
-    /// at least one round, at least one bit per round — plus, for v2,
+    /// at least one round, at least one bit per round — plus
     /// magic/version/length consistency).
     CorruptHeader {
         /// What the header declares that no valid frame can.
@@ -232,38 +219,11 @@ impl DecodeRequest {
         self.rounds[0].len()
     }
 
-    /// Size of the encoded **v1** frame in bytes.
-    #[must_use]
-    pub fn frame_len(&self) -> usize {
-        16 + self.rounds.len() * self.bits_per_round().div_ceil(8)
-    }
-
     /// Size of the encoded **v2** frame in bytes (24-byte header +
     /// payload + 4-byte CRC trailer).
     #[must_use]
     pub fn frame_len_v2(&self) -> usize {
         FRAME_V2_HEADER + self.rounds.len() * self.bits_per_round().div_ceil(8) + FRAME_V2_TRAILER
-    }
-
-    /// Packs the syndrome rounds LSB-first, one byte-padded lane per
-    /// round, into `buf`.
-    fn put_payload(&self, buf: &mut Vec<u8>) {
-        for round in &self.rounds {
-            round.extend_le_bytes(buf);
-        }
-    }
-
-    /// Serializes the request to its legacy **v1** wire frame (no
-    /// integrity protection, no sequence number).
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.frame_len());
-        buf.put_u32(self.qubit);
-        buf.put_u64(self.cycle);
-        buf.put_u16(self.rounds.len() as u16);
-        buf.put_u16(self.bits_per_round() as u16);
-        self.put_payload(&mut buf);
-        Bytes::from(buf)
     }
 
     /// Serializes the request to its **v2** wire frame: magic, version,
@@ -280,67 +240,13 @@ impl DecodeRequest {
         buf.put_u32(self.seq);
         buf.put_u16(self.rounds.len() as u16);
         buf.put_u16(self.bits_per_round() as u16);
-        self.put_payload(&mut buf);
+        // LSB-first, one byte-padded lane per round.
+        for round in &self.rounds {
+            round.extend_le_bytes(&mut buf);
+        }
         let crc = crc32(&buf);
         buf.put_u32(crc);
         Bytes::from(buf)
-    }
-
-    /// Parses one frame from `data`, auto-detecting the version: a
-    /// buffer opening with the v2 magic takes the strict v2 path,
-    /// anything else the legacy v1 path. v1 qubit ids `>= 0xB7C2_0000`
-    /// are reserved (see the module docs); use
-    /// [`DecodeRequest::decode_v1`] when the version is known.
-    ///
-    /// **Caution**: a corrupted v2 magic byte routes the frame to the
-    /// CRC-less v1 fallback, which can parse the damaged bytes as a
-    /// garbage request instead of erroring. The fallback exists for
-    /// genuinely mixed v1/v2 sources only — a receiver of v2-only
-    /// traffic must use [`DecodeRequest::decode_v2`] to keep the
-    /// every-single-bit-flip-is-detected guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseFrameError`] as [`DecodeRequest::decode_v1`] /
-    /// [`DecodeRequest::decode_v2`] do.
-    pub fn decode(data: &[u8]) -> Result<Self, ParseFrameError> {
-        if data.len() >= 2 && u16::from_be_bytes([data[0], data[1]]) == FRAME_MAGIC {
-            Self::decode_v2(data)
-        } else {
-            Self::decode_v1(data)
-        }
-    }
-
-    /// Parses one legacy **v1** frame from `data`. Trailing bytes
-    /// beyond the declared payload are tolerated (frames may arrive in
-    /// a larger buffer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseFrameError`] if the buffer is shorter than the
-    /// header or the declared payload, or if the header declares a
-    /// frame no valid encoder can produce (zero rounds / zero width).
-    pub fn decode_v1(mut data: &[u8]) -> Result<Self, ParseFrameError> {
-        if data.len() < 16 {
-            return Err(ParseFrameError::TruncatedHeader);
-        }
-        let qubit = data.get_u32();
-        let cycle = data.get_u64();
-        let n_rounds = usize::from(data.get_u16());
-        let width = usize::from(data.get_u16());
-        if n_rounds == 0 {
-            return Err(ParseFrameError::CorruptHeader { reason: "zero rounds declared" });
-        }
-        if width == 0 {
-            return Err(ParseFrameError::CorruptHeader { reason: "zero bits per round declared" });
-        }
-        let stride = width.div_ceil(8);
-        let expected = n_rounds * stride;
-        if data.len() < expected {
-            return Err(ParseFrameError::TruncatedPayload { expected, actual: data.len() });
-        }
-        let rounds = unpack_rounds(data, n_rounds, width);
-        Ok(Self { qubit, cycle, seq: 0, rounds })
     }
 
     /// Parses one **v2** frame from `data`, strictly: the magic,
@@ -495,11 +401,11 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything() {
+        // The cold constructor's default sequence number (0).
         let req = sample();
-        let frame = req.encode();
-        assert_eq!(frame.len(), req.frame_len());
-        let back = DecodeRequest::decode(&frame).unwrap();
-        assert_eq!(back, req);
+        let frame = req.encode_v2();
+        assert_eq!(frame.len(), req.frame_len_v2());
+        assert_eq!(DecodeRequest::decode_v2(&frame).unwrap(), req);
     }
 
     #[test]
@@ -509,9 +415,6 @@ mod tests {
         assert_eq!(frame.len(), req.frame_len_v2());
         let strict = DecodeRequest::decode_v2(&frame).unwrap();
         assert_eq!(strict, req);
-        // The auto-detecting parse routes by magic.
-        let auto = DecodeRequest::decode(&frame).unwrap();
-        assert_eq!(auto, req);
     }
 
     #[test]
@@ -523,28 +426,26 @@ mod tests {
 
     #[test]
     fn frame_len_matches_io_model_accounting() {
-        // 9 bits/round -> 2 bytes/round; 3 rounds + 16-byte header.
-        assert_eq!(sample().frame_len(), 16 + 3 * 2);
-        // v2 adds 8 bytes of magic/version/seq and 4 of CRC.
+        // 9 bits/round -> 2 bytes/round; 3 rounds + 24-byte header
+        // + 4-byte CRC.
         assert_eq!(sample().frame_len_v2(), 24 + 3 * 2 + 4);
     }
 
     #[test]
     fn truncated_header_is_rejected() {
-        let frame = sample().encode();
-        assert_eq!(DecodeRequest::decode(&frame[..10]), Err(ParseFrameError::TruncatedHeader));
         let v2 = sample().encode_v2();
         assert_eq!(DecodeRequest::decode_v2(&v2[..20]), Err(ParseFrameError::TruncatedHeader));
     }
 
     #[test]
     fn truncated_payload_is_rejected() {
-        let frame = sample().encode();
+        let frame = sample().encode_v2();
         let cut = frame.len() - 3;
-        match DecodeRequest::decode(&frame[..cut]) {
+        match DecodeRequest::decode_v2(&frame[..cut]) {
             Err(ParseFrameError::TruncatedPayload { expected, actual }) => {
-                assert_eq!(expected, 6);
-                assert_eq!(actual, 3);
+                // Payload and trailer are counted together.
+                assert_eq!(expected, 6 + FRAME_V2_TRAILER);
+                assert_eq!(actual, 3 + FRAME_V2_TRAILER);
             }
             other => panic!("expected truncated payload, got {other:?}"),
         }

@@ -218,78 +218,6 @@ fn bench_chained_cluster(c: &mut Criterion) {
     group.finish();
 }
 
-/// The streaming comparison: the incremental sliding-window sparse
-/// decode (persistent regions, collision edges, and memoized cluster
-/// matchings across slides) versus a from-scratch sparse decode of
-/// every window position, on one continuous p = 5e-3 trace (a 6d-round
-/// window sliding `slide` rounds per decode — matching the
-/// `streaming_benches` operating point of the bench bin). Slide-by-1
-/// is the streaming regime; slide-by-d forces deep slide compaction.
-/// Each arm pre-fills and decodes the window once so the measurement
-/// starts from the steady state. Compare the arms' absolute times, not
-/// only their ratio: the jump-started solver made the from-scratch arm
-/// several times faster, so the incremental/from-scratch ratio sits
-/// nearer 1 than it did when cold solves were slow.
-fn bench_streaming_decode(c: &mut Criterion) {
-    use btwc_bench::baseline::sample_streaming_trace;
-
-    let mut group = c.benchmark_group("streaming_decode");
-    group.sample_size(10);
-    let ty = StabilizerType::X;
-    for d in [13u16, 17, 21] {
-        let code = SurfaceCode::new(d);
-        let n_anc = code.num_ancillas(ty);
-        let w = 6 * usize::from(d);
-        let trace = sample_streaming_trace(&code, 512, 5e-3, 4, 0x57E4 + u64::from(d));
-        let packed: Vec<PackedBits> = trace.iter().map(|r| PackedBits::from_bools(r)).collect();
-        for slide in [1usize, usize::from(d)] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("incremental_slide{slide}"), d),
-                &d,
-                |b, _| {
-                    let mut dec = SparseDecoder::new(&code, ty);
-                    let mut window = RoundHistory::new(n_anc, w);
-                    let mut i = 0;
-                    for _ in 0..w {
-                        window.push_packed(&packed[i]);
-                        i = (i + 1) % packed.len();
-                    }
-                    black_box(dec.decode_stream_weighted(&window).1);
-                    b.iter(|| {
-                        for _ in 0..slide {
-                            window.push_packed(&packed[i]);
-                            i = (i + 1) % packed.len();
-                        }
-                        black_box(dec.decode_stream_weighted(&window).1)
-                    });
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("fromscratch_slide{slide}"), d),
-                &d,
-                |b, _| {
-                    let mut dec = SparseDecoder::new(&code, ty);
-                    let mut window = RoundHistory::new(n_anc, w);
-                    let mut i = 0;
-                    for _ in 0..w {
-                        window.push_packed(&packed[i]);
-                        i = (i + 1) % packed.len();
-                    }
-                    black_box(dec.decode_window_weighted(&window).1);
-                    b.iter(|| {
-                        for _ in 0..slide {
-                            window.push_packed(&packed[i]);
-                            i = (i + 1) % packed.len();
-                        }
-                        black_box(dec.decode_window_weighted(&window).1)
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// The sweep *schedule* comparison: one mixed-distance `(p, d)` grid at
 /// a fixed per-point cycle budget, run under the pre-pool per-point
 /// scoped-thread schedule (a barrier plus `SWEEP_BENCH_WORKERS` thread
@@ -477,7 +405,6 @@ criterion_group!(
     bench_mwpm_decode,
     bench_sparse_vs_dense,
     bench_chained_cluster,
-    bench_streaming_decode,
     bench_sweep_throughput,
     bench_machine_step,
     bench_blossom_scaling,

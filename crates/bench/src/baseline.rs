@@ -90,48 +90,6 @@ pub fn sample_noisy_rounds(code: &SurfaceCode, count: usize, p: f64, seed: u64) 
         .collect()
 }
 
-/// A steady-state streaming trace of raw syndrome rounds: accumulating
-/// data errors with per-round transient measurement flips, with the
-/// error state cleared every `segment` rounds — the effect of a
-/// correction landing, which is what keeps a deployed stream's
-/// syndrome sparse. (Without the clearing, errors random-walk to
-/// saturation and every late round is half-lit — a regime no
-/// functioning decoder ever sees.) The workload of the
-/// `streaming_decode` benchmarks.
-///
-/// # Panics
-///
-/// Panics if `segment == 0`.
-#[must_use]
-pub fn sample_streaming_trace(
-    code: &SurfaceCode,
-    count: usize,
-    p: f64,
-    segment: usize,
-    seed: u64,
-) -> Vec<Vec<bool>> {
-    assert!(segment > 0, "segment must be positive");
-    let n_anc = code.num_ancillas(StabilizerType::X);
-    let noise = PhenomenologicalNoise::uniform(p);
-    let mut rng = SimRng::from_seed(seed);
-    let mut errors = vec![false; code.num_data_qubits()];
-    let mut meas = vec![false; n_anc];
-    (0..count)
-        .map(|t| {
-            if t % segment == 0 {
-                errors.fill(false);
-            }
-            noise.sample_data_into(&mut rng, &mut errors);
-            noise.sample_measurement_into(&mut rng, &mut meas);
-            let mut round = code.syndrome_of(StabilizerType::X, &errors);
-            for (r, &m) in round.iter_mut().zip(&meas) {
-                *r ^= m;
-            }
-            round
-        })
-        .collect()
-}
-
 /// One shot-protocol decode window: `rounds` rounds of accumulating
 /// data errors with independent transient measurement flips, closed by
 /// a perfect readout round — the workload of the `sparse_vs_dense` and

@@ -16,11 +16,6 @@
 //!   the same comparison at p = 5e-3, the operational-rate regime where
 //!   whole windows collapse into a few large clusters and the in-solver
 //!   sparse blossom replaces the old dense per-cluster fallback;
-//! * `streaming_{incremental,fromscratch}_d{13,17,21}_slide{1,d}` — the
-//!   `streaming_decode` group: the incremental sliding-window sparse
-//!   decode (persistent regions, collision edges, and cluster solutions
-//!   across slides) versus a from-scratch sparse decode of every
-//!   position of a 6d-round window on one continuous p = 5e-3 trace;
 //! * `ler_d{7,11}_{mwpm,clique}` — the Fig. 14 shot loop, reported as
 //!   decoded rounds per second;
 //! * `sweep_{scoped_per_point,pooled_grid}` — the `sweep_throughput`
@@ -49,8 +44,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use btwc_bench::baseline::{
-    coverage_sweep_per_point, sample_noisy_rounds, sample_noisy_window, sample_streaming_trace,
-    BoolVecHistory,
+    coverage_sweep_per_point, sample_noisy_rounds, sample_noisy_window, BoolVecHistory,
 };
 use btwc_bench::{
     machine_step_workload, print_table, scaled, sweep_throughput_axes, SWEEP_BENCH_WORKERS,
@@ -220,89 +214,6 @@ fn chained_cluster_benches(entries: &mut Vec<Entry>) -> (f64, f64) {
         "p=5e-3 in-solver sparse blossom",
     );
     (s[0], s[1])
-}
-
-/// The `streaming_decode` comparison: the incremental sliding-window
-/// sparse decode versus a from-scratch sparse decode of every window
-/// position, on one continuous noisy trace per distance (p = 5e-3, a
-/// 6d-round window sliding `slide` rounds between decodes — long
-/// windows are where streaming pays: per-position work tracks the
-/// per-slide dirt, not the window). Slide-by-1 is the streaming regime
-/// the incremental state was built for; slide-by-d forces deep slide
-/// compaction each step. Both arms time from a pre-filled, once-decoded
-/// window so slide-by-1 measures the steady state rather than the
-/// fill-up. Returns the slide-1 `(incremental, from-scratch)` rates in
-/// rounds/s for d = 13, 17, 21.
-///
-/// Read the two rates, not only their ratio. Since the solver
-/// jump-starts (PR 17) the *denominator* is several times faster — a
-/// from-scratch decode now beats the parent's warm-started incremental
-/// one — so the ratio fell toward 1 while both absolute rates rose; the
-/// old "≥ 3x at d ≥ 17" bar described the slow cold solver, not a
-/// property of streaming, and is retired.
-fn streaming_benches(entries: &mut Vec<Entry>) -> [(f64, f64); 3] {
-    let ty = StabilizerType::X;
-    let p = 5e-3;
-    let mut slide1_rates = Vec::new();
-    for &(d, slide1_iters, slided_iters) in
-        &[(13u16, 1_200u64, 240u64), (17, 400, 80), (21, 120, 24)]
-    {
-        let code = SurfaceCode::new(d);
-        let n_anc = code.num_ancillas(ty);
-        let w = 6 * usize::from(d);
-        let trace = sample_streaming_trace(&code, 512, p, 4, 0x57E4 + u64::from(d));
-        let packed: Vec<PackedBits> = trace.iter().map(|r| PackedBits::from_bools(r)).collect();
-        for (slide, base_iters) in [(1usize, slide1_iters), (usize::from(d), slided_iters)] {
-            let iters = scaled(base_iters);
-
-            let mut dec = SparseDecoder::new(&code, ty);
-            let mut window = RoundHistory::new(n_anc, w);
-            let mut i = 0;
-            for _ in 0..w {
-                window.push_packed(&packed[i]);
-                i = (i + 1) % packed.len();
-            }
-            std::hint::black_box(dec.decode_stream_weighted(&window).1);
-            let incremental = time_rounds(iters, || {
-                for _ in 0..slide {
-                    window.push_packed(&packed[i]);
-                    i = (i + 1) % packed.len();
-                }
-                std::hint::black_box(dec.decode_stream_weighted(&window).1);
-            }) * slide as f64;
-            entries.push(Entry {
-                name: format!("streaming_incremental_d{d}_slide{slide}"),
-                rounds_per_sec: incremental,
-                detail: format!("p={p}, {w}-round window, incremental stream decode"),
-            });
-
-            let mut dec = SparseDecoder::new(&code, ty);
-            let mut window = RoundHistory::new(n_anc, w);
-            let mut i = 0;
-            for _ in 0..w {
-                window.push_packed(&packed[i]);
-                i = (i + 1) % packed.len();
-            }
-            std::hint::black_box(dec.decode_window_weighted(&window).1);
-            let fromscratch = time_rounds(iters, || {
-                for _ in 0..slide {
-                    window.push_packed(&packed[i]);
-                    i = (i + 1) % packed.len();
-                }
-                std::hint::black_box(dec.decode_window_weighted(&window).1);
-            }) * slide as f64;
-            entries.push(Entry {
-                name: format!("streaming_fromscratch_d{d}_slide{slide}"),
-                rounds_per_sec: fromscratch,
-                detail: format!("p={p}, {w}-round window, batch decode per position"),
-            });
-
-            if slide == 1 {
-                slide1_rates.push((incremental, fromscratch));
-            }
-        }
-    }
-    [slide1_rates[0], slide1_rates[1], slide1_rates[2]]
 }
 
 fn ler_benches(entries: &mut Vec<Entry>) {
@@ -644,13 +555,12 @@ fn overhead_from_ratios(mut ratios: Vec<f64>) -> f64 {
 }
 
 /// The `--telemetry` overhead comparison: the identical machine-step
-/// and streaming-decode workloads with and without a live
-/// [`btwc_telemetry::MetricsRegistry`] attached. Returns the
-/// (machine, streaming) overhead fractions (0.01 = the instrumented
-/// run is 1% slower); the acceptance bar is < 3% on both, which is why
-/// every hot-path record is a relaxed atomic add with no locking and
-/// the stream decoder batches per-cluster replay counts into one add.
-fn telemetry_overhead_benches(entries: &mut Vec<Entry>) -> (f64, f64) {
+/// workload with and without a live
+/// [`btwc_telemetry::MetricsRegistry`] attached. Returns the overhead
+/// fraction (0.01 = the instrumented run is 1% slower); the acceptance
+/// bar is < 3%, which is why every hot-path record is a relaxed atomic
+/// add with no locking.
+fn telemetry_overhead_benches(entries: &mut Vec<Entry>) -> f64 {
     use btwc_core::BtwcMachine;
     use btwc_telemetry::MetricsRegistry;
 
@@ -689,60 +599,7 @@ fn telemetry_overhead_benches(entries: &mut Vec<Entry>) -> (f64, f64) {
         rounds_per_sec: attached,
         detail: format!("d={d}, {qubits} qubits, machine.* metrics live"),
     });
-    let machine_overhead = overhead_from_ratios(ratios);
-
-    let ty = StabilizerType::X;
-    let d = 13u16;
-    let code = SurfaceCode::new(d);
-    let n_anc = code.num_ancillas(ty);
-    let w = 6 * usize::from(d);
-    let trace = sample_streaming_trace(&code, 512, 5e-3, 4, 0x57E4 + u64::from(d));
-    let packed: Vec<PackedBits> = trace.iter().map(|r| PackedBits::from_bools(r)).collect();
-    let iters = scaled(1_200);
-    // One long-lived streaming decoder per arm (steady-state stream
-    // cache), alternated between passes.
-    let registry = MetricsRegistry::new();
-    let mut arms: Vec<(SparseDecoder, RoundHistory, usize)> = [None, Some(&registry)]
-        .into_iter()
-        .map(|registry| {
-            let mut dec = SparseDecoder::new(&code, ty);
-            if let Some(registry) = registry {
-                dec.attach_telemetry(registry);
-            }
-            let mut window = RoundHistory::new(n_anc, w);
-            let mut i = 0;
-            for _ in 0..w {
-                window.push_packed(&packed[i]);
-                i = (i + 1) % packed.len();
-            }
-            std::hint::black_box(dec.decode_stream_weighted(&window).1);
-            (dec, window, i)
-        })
-        .collect();
-    let mut rates = [0.0f64; 2];
-    let mut ratios = Vec::with_capacity(TELEMETRY_REPS);
-    for _ in 0..TELEMETRY_REPS {
-        let per_rep = (iters / TELEMETRY_REPS as u64).max(TELEMETRY_MIN_ITERS);
-        let mut rep = [0.0f64; 2];
-        for (slot, (dec, window, i)) in arms.iter_mut().enumerate() {
-            rep[slot] = time_rounds(per_rep, || {
-                window.push_packed(&packed[*i]);
-                *i = (*i + 1) % packed.len();
-                std::hint::black_box(dec.decode_stream_weighted(window).1);
-            });
-            rates[slot] = rates[slot].max(rep[slot]);
-        }
-        ratios.push(rep[1] / rep[0].max(1e-12));
-    }
-    for (slot, name) in ["off", "on"].into_iter().enumerate() {
-        entries.push(Entry {
-            name: format!("streaming_decode_telemetry_{name}"),
-            rounds_per_sec: rates[slot],
-            detail: format!("d={d}, {w}-round window, slide-1 incremental stream decode"),
-        });
-    }
-    let stream_overhead = overhead_from_ratios(ratios);
-    (machine_overhead, stream_overhead)
+    overhead_from_ratios(ratios)
 }
 
 fn json_escape(s: &str) -> String {
@@ -755,16 +612,13 @@ fn main() {
     let (boolvec, packed) = sticky_benches(&mut entries);
     let (sparse_d13, sparse_d21) = sparse_vs_dense_benches(&mut entries);
     let (chained_d17, chained_d21) = chained_cluster_benches(&mut entries);
-    let stream_rates = streaming_benches(&mut entries);
-    let [stream_d13, stream_d17, stream_d21] =
-        stream_rates.map(|(incremental, fromscratch)| incremental / fromscratch.max(1e-12));
     ler_benches(&mut entries);
     let sweep_speedup = sweep_benches(&mut entries);
     let pool_mode_speedup = pool_mode_benches(&mut entries);
     let machine_speedup = machine_benches(&mut entries);
     let fault_ratio = fault_sweep_benches(&mut entries);
     let farm_p99_backlog = decode_farm_benches(&mut entries);
-    let telemetry_overheads = measure_telemetry.then(|| telemetry_overhead_benches(&mut entries));
+    let telemetry_overhead = measure_telemetry.then(|| telemetry_overhead_benches(&mut entries));
     let speedup = packed / boolvec.max(1e-12);
 
     let rows: Vec<Vec<String>> = entries
@@ -780,11 +634,6 @@ fn main() {
         "chained clusters (p=5e-3) sparse vs dense: {chained_d17:.1}x at d=17, \
          {chained_d21:.1}x at d=21"
     );
-    println!(
-        "streaming slide-by-1 incremental vs from-scratch sparse: {stream_d13:.1}x at d=13, \
-         {stream_d17:.1}x at d=17, {stream_d21:.1}x at d=21 (rounds/s {})",
-        stream_rates.map(|(inc, fs)| format!("{inc:.0} vs {fs:.0}")).join(", ")
-    );
     println!("whole-grid pooled sweep vs per-point scoped threads: {sweep_speedup:.1}x");
     println!(
         "persistent parked workers vs per-map spawn on small batches: {pool_mode_speedup:.1}x \
@@ -792,12 +641,10 @@ fn main() {
     );
     println!("machine step through a 20%-fault link vs perfect link: {fault_ratio:.2}x throughput");
     println!("decode farm, 8-machine fleet: p99 queue backlog {farm_p99_backlog} jobs");
-    if let Some((machine_overhead, stream_overhead)) = telemetry_overheads {
+    if let Some(machine_overhead) = telemetry_overhead {
         println!(
-            "telemetry overhead (on vs off): machine step {:.2}%, streaming decode {:.2}% \
-             (bar: < 3%)",
-            machine_overhead * 100.0,
-            stream_overhead * 100.0
+            "telemetry overhead (on vs off): machine step {:.2}% (bar: < 3%)",
+            machine_overhead * 100.0
         );
     }
 
@@ -808,26 +655,13 @@ fn main() {
     let _ = writeln!(json, "  \"offchip_sparse_speedup_vs_dense_d21\": {sparse_d21:.3},");
     let _ = writeln!(json, "  \"chained_sparse_speedup_vs_dense_d17\": {chained_d17:.3},");
     let _ = writeln!(json, "  \"chained_sparse_speedup_vs_dense_d21\": {chained_d21:.3},");
-    let _ = writeln!(
-        json,
-        "  \"streaming_sparse_speedup_vs_fromscratch_d13_slide1\": {stream_d13:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"streaming_sparse_speedup_vs_fromscratch_d17_slide1\": {stream_d17:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"streaming_sparse_speedup_vs_fromscratch_d21_slide1\": {stream_d21:.3},"
-    );
     let _ = writeln!(json, "  \"sweep_pooled_speedup_vs_scoped\": {sweep_speedup:.3},");
     let _ = writeln!(json, "  \"pool_persistent_speedup_vs_spawn\": {pool_mode_speedup:.3},");
     let _ = writeln!(json, "  \"machine_batched_speedup_vs_perqubit\": {machine_speedup:.3},");
     let _ = writeln!(json, "  \"machine_faulty_link_throughput_ratio_p2e-1\": {fault_ratio:.3},");
     let _ = writeln!(json, "  \"farm_fleet_p99_backlog\": {farm_p99_backlog},");
-    if let Some((machine_overhead, stream_overhead)) = telemetry_overheads {
+    if let Some(machine_overhead) = telemetry_overhead {
         let _ = writeln!(json, "  \"machine_step_telemetry_overhead\": {machine_overhead:.4},");
-        let _ = writeln!(json, "  \"streaming_decode_telemetry_overhead\": {stream_overhead:.4},");
     }
     json.push_str("  \"results\": [\n");
     for (i, e) in entries.iter().enumerate() {

@@ -21,10 +21,7 @@ pub type BackendFactory = fn(&SurfaceCode, StabilizerType) -> Box<dyn ComplexDec
 /// backend selector of the workspace, consumed uniformly by
 /// [`BtwcBuilder::backend`], [`crate::DualBtwcDecoder::with_backend`],
 /// [`crate::MachineBuilder::backend`], and (via re-export) the sim
-/// configs' `with_backend`. The per-call knobs it replaces
-/// (`BtwcBuilder::offchip_backend`, `BtwcBuilder::complex_decoder`,
-/// `LifetimeConfig::with_offchip`, `ShotConfig::with_offchip`, and the
-/// `OffchipBackend` name) survive as deprecated forwarding wrappers.
+/// configs' `with_backend`.
 ///
 /// [`DecoderBackend::DenseMwpm`] and [`DecoderBackend::SparseBlossom`]
 /// are *exact* minimum-weight perfect matchers — weight-equal on every
@@ -119,11 +116,6 @@ impl PartialEq for DecoderBackend {
 
 impl Eq for DecoderBackend {}
 
-/// Deprecated name of [`DecoderBackend`], kept so pre-unification code
-/// (and its two variant names) keeps compiling.
-#[deprecated(note = "use DecoderBackend: the single backend selector for every tier")]
-pub type OffchipBackend = DecoderBackend;
-
 /// What one cycle of the pipeline did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BtwcOutcome {
@@ -200,7 +192,6 @@ pub struct BtwcBuilder<'a> {
     clique_rounds: usize,
     window_rounds: usize,
     backend: DecoderBackend,
-    complex: Option<Box<dyn ComplexDecoder + Send + Sync>>,
 }
 
 impl std::fmt::Debug for BtwcBuilder<'_> {
@@ -210,7 +201,6 @@ impl std::fmt::Debug for BtwcBuilder<'_> {
             .field("clique_rounds", &self.clique_rounds)
             .field("window_rounds", &self.window_rounds)
             .field("backend", &self.backend)
-            .field("custom_complex", &self.complex.is_some())
             .finish()
     }
 }
@@ -223,7 +213,6 @@ impl<'a> BtwcBuilder<'a> {
             clique_rounds: 2,
             window_rounds: usize::from(code.distance()).max(4) * 4,
             backend: DecoderBackend::default(),
-            complex: None,
         }
     }
 
@@ -260,33 +249,14 @@ impl<'a> BtwcBuilder<'a> {
         self
     }
 
-    /// Deprecated spelling of [`BtwcBuilder::backend`].
-    #[deprecated(note = "use BtwcBuilder::backend")]
-    #[must_use]
-    pub fn offchip_backend(self, backend: DecoderBackend) -> Self {
-        self.backend(backend)
-    }
-
-    /// Replaces the default MWPM complex decoder with a one-off boxed
-    /// instance.
-    #[deprecated(
-        note = "register a DecoderBackend::Custom factory and pass it to BtwcBuilder::backend"
-    )]
-    #[must_use]
-    pub fn complex_decoder(mut self, decoder: Box<dyn ComplexDecoder + Send + Sync>) -> Self {
-        self.complex = Some(decoder);
-        self
-    }
-
     /// Builds the pipeline.
     #[must_use]
     pub fn build(self) -> BtwcDecoder {
         let frontend = CliqueFrontend::with_rounds(self.code, self.ty, self.clique_rounds);
         let n_anc = self.code.num_ancillas(self.ty);
-        let complex = self.complex.unwrap_or_else(|| self.backend.build(self.code, self.ty));
         BtwcDecoder {
             frontend,
-            complex,
+            complex: self.backend.build(self.code, self.ty),
             window: RoundHistory::new(n_anc, self.window_rounds),
             stats: DecoderStats::default(),
             scratch: PackedBits::new(n_anc),
@@ -351,12 +321,11 @@ impl BtwcDecoder {
     ///   decode is unchanged — this removes the seed implementation's
     ///   per-cycle round copy in the >90% quiet case.
     /// * When the window **fills**, it **slides**: pushing onto a full
-    ///   [`RoundHistory`] retires the oldest round and re-bases the
-    ///   surviving detection events (`slide(1)` semantics), so the
-    ///   window always holds the most recent non-trivial history and a
-    ///   streaming backend ([`ComplexDecoder::decode_stream_mut`]) can
-    ///   carry its incremental state across the slide.
-    /// * A complex decode consumes the window and resets it.
+    ///   [`RoundHistory`] evicts the oldest round and re-bases the
+    ///   surviving detection events, so the window always holds the
+    ///   most recent non-trivial history.
+    /// * A complex decode consumes the window and resets it, so every
+    ///   off-chip window is decoded once, from scratch.
     ///
     /// # Panics
     ///
@@ -377,7 +346,7 @@ impl BtwcDecoder {
             }
             CliqueDecision::Complex => {
                 self.stats.offchip += 1;
-                let c = self.complex.decode_stream_mut(&self.window);
+                let c = self.complex.decode_window_mut(&self.window);
                 // Window consumed; the sticky filter clears itself once
                 // the correction lands, so no pipeline reset is needed.
                 self.window.reset();
@@ -454,19 +423,22 @@ mod tests {
         assert_eq!(dec.stats().offchip, 1);
     }
 
-    #[test]
-    fn custom_complex_decoder_is_used() {
+    /// A custom backend whose every decode flips data qubit 99.
+    fn null_backend() -> DecoderBackend {
         struct NullDecoder;
         impl ComplexDecoder for NullDecoder {
             fn decode_window(&self, _w: &RoundHistory) -> Correction {
                 Correction::from_flips(vec![99])
             }
         }
+        DecoderBackend::Custom { name: "null", build: |_, _| Box::new(NullDecoder) }
+    }
+
+    #[test]
+    fn custom_complex_decoder_is_used() {
         let code = SurfaceCode::new(7);
-        #[allow(deprecated)]
-        let mut dec = BtwcDecoder::builder(&code, StabilizerType::X)
-            .complex_decoder(Box::new(NullDecoder))
-            .build();
+        let mut dec =
+            BtwcDecoder::builder(&code, StabilizerType::X).backend(null_backend()).build();
         let mut errors = vec![false; code.num_data_qubits()];
         errors[3 * 7 + 3] = true;
         errors[4 * 7 + 3] = true;
@@ -500,17 +472,11 @@ mod tests {
 
     #[test]
     fn backend_is_ignored_when_custom_decoder_installed() {
-        struct NullDecoder;
-        impl ComplexDecoder for NullDecoder {
-            fn decode_window(&self, _w: &RoundHistory) -> Correction {
-                Correction::from_flips(vec![42])
-            }
-        }
+        // One selector: the last `backend` call wins outright.
         let code = SurfaceCode::new(7);
-        #[allow(deprecated)]
         let mut dec = BtwcDecoder::builder(&code, StabilizerType::X)
-            .offchip_backend(DecoderBackend::SparseBlossom)
-            .complex_decoder(Box::new(NullDecoder))
+            .backend(DecoderBackend::SparseBlossom)
+            .backend(null_backend())
             .build();
         let mut errors = vec![false; code.num_data_qubits()];
         errors[3 * 7 + 3] = true;
@@ -518,7 +484,7 @@ mod tests {
         let round = round_for(&code, &errors);
         let _ = dec.process_round(&round);
         let out = dec.process_round(&round);
-        assert_eq!(out.correction().map(Correction::qubits), Some(&[42usize][..]));
+        assert_eq!(out.correction().map(Correction::qubits), Some(&[99usize][..]));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! per-cycle complex decodes beyond the provisioned bandwidth trigger
 //! stall cycles (idle-gate insertion), exactly the Sec. 5 mechanism.
 //! Off-chip decoding everywhere is selected by the single
-//! [`DecoderBackend`] registry. (The pre-batching `BtwcSystem` remains
-//! as a deprecated shim.)
+//! [`DecoderBackend`] registry.
 //!
 //! # Example
 //!
@@ -43,10 +42,7 @@ mod dual;
 mod machine;
 mod prefilter;
 mod service;
-mod system;
 
-#[allow(deprecated)]
-pub use decoder::OffchipBackend;
 pub use decoder::{
     BackendFactory, BtwcBuilder, BtwcDecoder, BtwcOutcome, ComplexDecoder, DecoderBackend,
     DecoderStats,
@@ -55,9 +51,6 @@ pub use dual::{DualBtwcDecoder, DualOutcome};
 pub use machine::{BtwcMachine, MachineBuilder, MachineCycle, MachineStats, TransportStats};
 pub use prefilter::{PrefilterModel, PrefilterReport};
 pub use service::{EscalationJob, PendingCycle, RejectReason, ServiceResponse};
-#[allow(deprecated)]
-pub use system::BtwcSystem;
-pub use system::{SystemCycle, SystemStats};
 
 // Re-export the vocabulary types users need to drive the system.
 pub use btwc_bandwidth::{FaultyLink, LinkFaultModel, LinkFaultStats};

@@ -1,14 +1,14 @@
 //! The machine tier: many logical qubits, one batched packed pipeline,
 //! one transport-metered off-chip link.
 //!
-//! [`BtwcMachine`] is the redesigned machine-level entry point (the
-//! paper's Figs. 9/16 workload). It differs from the deprecated
-//! [`crate::BtwcSystem`] on three seams:
+//! [`BtwcMachine`] is the machine-level entry point (the paper's
+//! Figs. 9/16 workload). Three seams define it:
 //!
 //! * **Batched packed ingestion** — one [`SyndromeBatch`] per cycle
 //!   (a contiguous plane-major word matrix: one qubit-indexed plane of
-//!   words per ancilla) instead of per-qubit `Vec<bool>` rounds. The sticky filter and the "who needs
-//!   decoding at all" check run word-parallel across the whole machine
+//!   words per ancilla) instead of per-qubit `Vec<bool>` rounds. The
+//!   sticky filter and the "who needs decoding at all" check run
+//!   word-parallel across the whole machine
 //!   ([`btwc_clique::BatchFrontend`]), so the >90%-quiet common case
 //!   costs no per-qubit work.
 //! * **Unified backend selection** — one [`DecoderBackend`] picks the
@@ -632,7 +632,7 @@ impl BtwcMachine {
                 job.request.replay_into(wire);
                 let correction = {
                     let _wall = telemetry.map(|t| t.escalation_latency.wall_guard());
-                    offchip.decode_stream_mut(wire)
+                    offchip.decode_window_mut(wire)
                 };
                 ServiceResponse::Decoded { correction, queue_delay_cycles: 0 }
             })

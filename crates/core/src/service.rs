@@ -1,7 +1,7 @@
 //! The machine ⇄ decode-service contract.
 //!
 //! [`BtwcMachine::step`] historically resolved every escalation inline:
-//! transport, then an immediate blocking `decode_stream_mut` on the
+//! transport, then an immediate blocking `decode_window_mut` on the
 //! machine's own backend. The decode-farm tier splits that cycle into
 //! two halves so many machines can share one decode service:
 //!
@@ -20,11 +20,10 @@
 //! literally `step_deferred` + an inline decode of every job +
 //! `complete`, and the farm conformance harness pins the farm path to
 //! it per tenant, backend, and worker count. The key property making a
-//! *shared* service safe is that a replayed [`DecodeRequest`] resets
-//! the receive window, which every streaming decoder classifies as a
-//! rebuild — so a decode's flips, weights, and stats depend only on
-//! the window contents, never on which decoder instance ran it or what
-//! that instance decoded before.
+//! *shared* service safe is that decoders carry no state from one
+//! window to the next — so a decode's flips, weights, and stats depend
+//! only on the window contents, never on which decoder instance ran it
+//! or what that instance decoded before.
 //!
 //! [`BtwcMachine::step`]: crate::BtwcMachine::step
 //! [`BtwcMachine::step_deferred`]: crate::BtwcMachine::step_deferred

@@ -44,8 +44,8 @@
 //! machine telemetry are **bit-identical to the inline single-machine
 //! loop** for every builtin backend, any `BTWC_WORKERS`, and any
 //! submission interleaving — decode results depend only on window
-//! contents because a replayed [`DecodeRequest`] resets its window,
-//! which every streaming decoder treats as a rebuild.
+//! contents because decoders carry no state from one window to the
+//! next.
 //!
 //! [`BtwcMachine::step_deferred`]: btwc_core::BtwcMachine::step_deferred
 //! [`BtwcMachine::complete`]: btwc_core::BtwcMachine::complete
@@ -55,7 +55,6 @@
 //! [`QueueSim`]: btwc_bandwidth::QueueSim
 //! [`Pool`]: btwc_pool::Pool
 //! [`MetricsRegistry`]: btwc_telemetry::MetricsRegistry
-//! [`DecodeRequest`]: btwc_bandwidth::DecodeRequest
 
 mod farm;
 

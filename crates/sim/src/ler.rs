@@ -119,13 +119,6 @@ impl ShotConfig {
         self
     }
 
-    /// Deprecated spelling of [`ShotConfig::with_backend`].
-    #[deprecated(note = "use ShotConfig::with_backend")]
-    #[must_use]
-    pub fn with_offchip(self, backend: DecoderBackend) -> Self {
-        self.with_backend(backend)
-    }
-
     /// Sets the RNG seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {

@@ -61,8 +61,6 @@ mod tracker;
 // `btwc_core` import. Likewise the pool, so callers can size one
 // (`Pool::auto()`) without a `btwc_pool` import.
 pub use btwc_core::DecoderBackend;
-#[allow(deprecated)]
-pub use btwc_core::OffchipBackend;
 pub use btwc_pool::Pool;
 // The decode-farm service tier: the fleet driver lives here, the farm
 // itself in `btwc_farm` (re-exported so fleet callers need one import).

@@ -113,13 +113,6 @@ impl LifetimeConfig {
         self
     }
 
-    /// Deprecated spelling of [`LifetimeConfig::with_backend`].
-    #[deprecated(note = "use LifetimeConfig::with_backend")]
-    #[must_use]
-    pub fn with_offchip(self, backend: DecoderBackend) -> Self {
-        self.with_backend(backend)
-    }
-
     /// Sets the RNG seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -304,8 +297,7 @@ impl LifetimeSim {
         self.stats.raw_weight_histogram[weight] += 1;
         // 3. Feed the decode window. A full window *slides* (pushing
         //    retires the oldest round and re-bases surviving detection
-        //    events), so an escalation always sees the freshest history
-        //    and streaming backends can reuse their incremental state.
+        //    events), so an escalation always sees the freshest history.
         //    While the window is empty, all-zero rounds are skipped:
         //    they carry no detection events and only shift event times
         //    uniformly, so the space-time matching is unchanged while
@@ -328,7 +320,7 @@ impl LifetimeSim {
             }
             CliqueDecision::Complex => {
                 self.stats.complex += 1;
-                let c = self.offchip.decode_stream_mut(&self.window);
+                let c = self.offchip.decode_window_mut(&self.window);
                 self.stats.offchip_corrected_qubits += c.weight() as u64;
                 self.tracker.apply(c.qubits());
                 // The window is consumed; the sticky filter needs no

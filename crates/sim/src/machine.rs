@@ -51,8 +51,8 @@ pub fn machine_offchip_trace(
 /// machine for the whole run: `machine.*` cycle-domain metrics
 /// (escalation latency percentiles, queue depth, per-qubit stalls) and
 /// the off-chip decoder's own metrics (e.g. `sparse.*` for the
-/// streaming backend) land in `registry`, and the returned
-/// stats/trace are bit-identical to the uninstrumented run.
+/// sparse backend) land in `registry`, and the returned stats/trace
+/// are bit-identical to the uninstrumented run.
 ///
 /// # Panics
 ///

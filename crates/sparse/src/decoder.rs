@@ -9,9 +9,8 @@ use btwc_syndrome::{ComplexDecoder, Correction, DetectionEvent, RoundHistory};
 use btwc_telemetry::{Counter, Domain, Histogram, MetricsRegistry};
 
 use crate::blossom::ClusterEdge;
-use crate::regions::{merge_colliding_regions, scan_dirty_collisions};
+use crate::regions::merge_colliding_regions;
 use crate::scratch::{ClusterScratch, SparseScratch};
-use crate::stream::{record_solution, Slide, StreamState, NO_SOL};
 
 /// Sparse-blossom off-chip decoder: minimum-weight perfect matching of
 /// space-time detection events without ever materializing the dense
@@ -49,18 +48,12 @@ use crate::stream::{record_solution, Slide, StreamState, NO_SOL};
 /// events actually are — near-linear in the event count for the sparse
 /// windows the BTWC hierarchy actually ships off-chip.
 ///
-/// Two orthogonal accelerations sit on top of the batch decode:
-///
-/// * **Streaming** ([`SparseDecoder::decode_stream_weighted`]): when
-///   successive calls cover forward slides of one [`RoundHistory`]
-///   stream, region collisions and committed cluster matchings persist
-///   between calls (`crate::stream`) and only the work the slide
-///   invalidated is redone.
-/// * **Pooled cluster solves** ([`SparseDecoder::set_pool`]): the
-///   independent ≥3-event cluster matchings of one window are
-///   dispatched onto a [`btwc_pool::Pool`] and folded back in
-///   deterministic cluster order — bit-identical to the inline path
-///   for any worker count.
+/// Every window is decoded from scratch (see the crate docs for why).
+/// The one acceleration on top is **pooled cluster solves**
+/// ([`SparseDecoder::set_pool`]): the independent ≥3-event cluster
+/// matchings of one window are dispatched onto a [`btwc_pool::Pool`]
+/// and folded back in deterministic cluster order — bit-identical to
+/// the inline path for any worker count.
 #[derive(Debug)]
 pub struct SparseDecoder {
     ty: StabilizerType,
@@ -75,27 +68,18 @@ pub struct SparseDecoder {
     /// start, push on task end — sized by however many tasks ever ran
     /// concurrently).
     scratch_pool: Mutex<Vec<ClusterScratch>>,
-    /// Incremental sliding-window state (see `crate::stream`).
-    stream: StreamState,
     /// Optional metric handles (see [`SparseDecoder::attach_telemetry`]).
     telemetry: Option<SparseTelemetry>,
 }
 
-/// Cycle-domain metric handles for the sparse decode paths. Every
+/// Cycle-domain metric handles for the sparse decode. Every
 /// update is a commutative atomic increment driven by deterministic
 /// per-cluster decisions, so the recorded values are bit-identical for
 /// any pool worker count.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseTelemetry {
-    /// Stream classifications: replay-verbatim, incremental, rebuild.
-    quiet_slides: Counter,
-    incremental_slides: Counter,
-    rebuilds: Counter,
-    /// Clusters whose committed matching was replayed from the cache
-    /// vs. clusters that ran a solve (any size, any decode path).
-    clusters_replayed: Counter,
+    /// Clusters solved (any size) and the event count of each.
     clusters_solved: Counter,
-    /// Event count of every solved cluster.
     cluster_size: Histogram,
     /// ≥3-event clusters — the ones the blossom solver ran on — and,
     /// per solve, how many stages it took, how many pairs the jump
@@ -110,18 +94,11 @@ pub(crate) struct SparseTelemetry {
 impl SparseTelemetry {
     fn register(registry: &MetricsRegistry) -> Self {
         let c = |name: &str| registry.counter(name, Domain::Cycles);
-        // The two `sparse.warm.*` names predate the jump start and stay
-        // registered because `benchmarks/e2e` reads them: every blossom
-        // solve now starts cold, and none is hinted (the counter stays
-        // at zero).
-        let _ = c("sparse.warm.hinted_solves");
         Self {
-            quiet_slides: c("sparse.stream.quiet_slides"),
-            incremental_slides: c("sparse.stream.incremental_slides"),
-            rebuilds: c("sparse.stream.rebuilds"),
-            clusters_replayed: c("sparse.stream.clusters_replayed"),
             clusters_solved: c("sparse.clusters_solved"),
             cluster_size: registry.histogram("sparse.cluster_solve_size", Domain::Cycles),
+            // The name predates the jump start (every blossom solve
+            // is cold now); `benchmarks/e2e` reads it.
             blossom_solves: c("sparse.warm.cold_solves"),
             solve_stages: registry.histogram("sparse.solve_stages", Domain::Cycles),
             jump_matched: c("sparse.jump_matched"),
@@ -138,9 +115,6 @@ impl Clone for SparseDecoder {
             scratch: Mutex::new(SparseScratch::new()),
             pool: self.pool.clone(),
             scratch_pool: Mutex::new(Vec::new()),
-            // Stream state is a memo over *this* decoder's call
-            // history; a clone starts cold and rebuilds on first use.
-            stream: StreamState::default(),
             // Shared handles: a clone records into the same metrics.
             telemetry: self.telemetry.clone(),
         }
@@ -157,7 +131,6 @@ impl SparseDecoder {
             scratch: Mutex::new(SparseScratch::new()),
             pool: None,
             scratch_pool: Mutex::new(Vec::new()),
-            stream: StreamState::default(),
             telemetry: None,
         }
     }
@@ -184,12 +157,11 @@ impl SparseDecoder {
     }
 
     /// Attach a metrics registry: from here on every decode records
-    /// stream fast-path classifications, replayed-vs-solved cluster
-    /// counts, per-cluster solve sizes, and the blossom solver's
-    /// stage, jump-start and retirement counts under the `sparse.`
-    /// prefix. All sparse metrics are cycle-domain: the per-cluster
-    /// decisions driving them are deterministic, so totals are
-    /// identical for any pool worker count.
+    /// solved-cluster counts, per-cluster solve sizes, and the blossom
+    /// solver's stage, jump-start and retirement counts under the
+    /// `sparse.` prefix. All sparse metrics are cycle-domain: the
+    /// per-cluster decisions driving them are deterministic, so totals
+    /// are identical for any pool worker count.
     pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
         self.telemetry = Some(SparseTelemetry::register(registry));
     }
@@ -215,7 +187,6 @@ impl SparseDecoder {
             &mut scratch,
             self.pool.as_deref(),
             &self.scratch_pool,
-            None,
             self.telemetry.as_ref(),
         )
         .0
@@ -249,7 +220,6 @@ impl SparseDecoder {
             scratch,
             self.pool.as_deref(),
             &self.scratch_pool,
-            None,
             self.telemetry.as_ref(),
         )
     }
@@ -272,7 +242,6 @@ impl SparseDecoder {
             &mut scratch,
             self.pool.as_deref(),
             &self.scratch_pool,
-            None,
             self.telemetry.as_ref(),
         )
         .0;
@@ -303,242 +272,21 @@ impl SparseDecoder {
             scratch,
             self.pool.as_deref(),
             &self.scratch_pool,
-            None,
             self.telemetry.as_ref(),
         );
         scratch.events = events;
         out
     }
 
-    /// Decodes `window` as the latest position of a sliding stream (see
-    /// [`ComplexDecoder::decode_stream_mut`]): when `window` is a
-    /// forward slide of the window decoded by the previous call, region
-    /// collisions and committed cluster matchings are reused and only
-    /// the rounds that entered or left are reprocessed. On any other
-    /// input the result is identical to
-    /// [`SparseDecoder::decode_window_weighted`] — the batch kernel
-    /// runs (priming the stream state for the next slide), so the
-    /// method is always safe to call.
-    #[must_use]
-    pub fn decode_stream_weighted(&mut self, window: &RoundHistory) -> (Correction, i64) {
-        let scratch = self.scratch.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let graph = &self.graph;
-        let pool = self.pool.as_deref();
-        let telemetry = self.telemetry.as_ref();
-        match self.stream.classify(window) {
-            Slide::Quiet => {
-                // Nothing entered, nothing left, the re-base was a
-                // no-op: the previous matching stands verbatim.
-                if let Some(tel) = telemetry {
-                    tel.quiet_slides.inc();
-                }
-                self.stream.note_quiet(window);
-                (self.stream.cached.clone(), self.stream.cached_weight)
-            }
-            Slide::Rebuild => {
-                if let Some(tel) = telemetry {
-                    tel.rebuilds.inc();
-                }
-                self.stream.begin_rebuild(window);
-                let events = &self.stream.events;
-                let epoch = self.stream.epoch;
-                let (corr, total) = {
-                    let solutions = &mut self.stream.solutions;
-                    let free_slots = &mut self.stream.free_slots;
-                    let sol_of = &mut self.stream.sol_of;
-                    let mut rec = |members: &[u32], w: i64, flips: &[usize]| {
-                        record_solution(solutions, free_slots, sol_of, epoch, members, w, flips);
-                    };
-                    Self::decode_events_with(
-                        graph,
-                        events,
-                        scratch,
-                        pool,
-                        &self.scratch_pool,
-                        Some(&mut rec),
-                        telemetry,
-                    )
-                };
-                // The kernel's collision edges index the same event
-                // order — they seed the next slide's surviving set.
-                self.stream.edges.clear();
-                self.stream.edges.extend_from_slice(&scratch.collisions);
-                self.stream.commit(&corr, total);
-                (corr, total)
-            }
-            Slide::Incremental { retired } => {
-                if let Some(tel) = telemetry {
-                    tel.incremental_slides.inc();
-                }
-                let (front_dirty, tail_start) = self.stream.apply_slide(window, retired);
-                scan_dirty_collisions(
-                    graph,
-                    &self.stream.events,
-                    front_dirty,
-                    tail_start,
-                    &mut self.stream.edges,
-                );
-
-                let n = self.stream.events.len();
-                if n == 0 {
-                    let corr = Correction::new();
-                    self.stream.sweep();
-                    self.stream.commit(&corr, 0);
-                    return (corr, 0);
-                }
-
-                // Re-derive the cluster partition from the maintained
-                // edge set (linear in events + edges — the expensive
-                // discovery above only touched dirty events).
-                scratch.prepare(n);
-                for e in &self.stream.edges {
-                    scratch.union(e.u, e.v);
-                }
-                for i in 0..n as u32 {
-                    let r = scratch.find(i);
-                    scratch.root.push(r);
-                }
-                scratch.order.extend(0..n as u32);
-                let SparseScratch { root, order, cluster, .. } = scratch;
-                order.sort_unstable_by_key(|&i| root[i as usize]);
-                self.stream.edges.sort_unstable_by_key(|e| root[e.u as usize]);
-                let (order, root) = (&*order, &*root);
-                let events = &self.stream.events;
-                let edges = &self.stream.edges;
-                let sol_of = &mut self.stream.sol_of;
-                let solutions = &mut self.stream.solutions;
-                let free_slots = &mut self.stream.free_slots;
-                let epoch = self.stream.epoch;
-
-                let mut flips: Vec<usize> = Vec::new();
-                let mut total = 0i64;
-                let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
-                // Replays dominate a quiet slide (every untouched
-                // cluster is one), so batch them into one atomic add
-                // instead of an RMW per cluster.
-                let mut replayed = 0u64;
-                let (mut start, mut edge_at) = (0usize, 0usize);
-                while start < n {
-                    let cluster_root = root[order[start] as usize];
-                    let mut end = start + 1;
-                    while end < n && root[order[end] as usize] == cluster_root {
-                        end += 1;
-                    }
-                    let mut edge_end = edge_at;
-                    while edge_end < edges.len() && root[edges[edge_end].u as usize] == cluster_root
-                    {
-                        edge_end += 1;
-                    }
-                    let members = &order[start..end];
-                    let size = end - start;
-                    // Cache hit: every member still carries the same
-                    // solution slot and the cluster kept its size —
-                    // then membership and edges are provably unchanged
-                    // (slide-inserted events carry `NO_SOL`, dropped
-                    // members shrink the size, new edges only touch
-                    // `NO_SOL` events), and weights and flips are
-                    // invariant under the uniform round shift. Replay
-                    // the committed matching.
-                    let s0 = sol_of[members[0] as usize];
-                    let hit = s0 != NO_SOL
-                        && solutions[s0 as usize].size as usize == size
-                        && members.iter().all(|&m| sol_of[m as usize] == s0);
-                    if hit {
-                        replayed += 1;
-                        let sol = &mut solutions[s0 as usize];
-                        sol.last_seen = epoch;
-                        total += sol.weight;
-                        flips.extend_from_slice(&sol.flips);
-                    } else if pool.is_some() && size >= 3 {
-                        // Miss on a big knot: re-solve it on the pool.
-                        tasks.push((start, end, edge_at, edge_end));
-                    } else {
-                        // Miss: re-solve from scratch. The jump start
-                        // re-derives the untouched part of the old
-                        // matching in two linear passes, so no solver
-                        // state is carried from slide to slide.
-                        let flip_start = flips.len();
-                        let w = solve_cluster(
-                            graph,
-                            events,
-                            members,
-                            &edges[edge_at..edge_end],
-                            cluster,
-                            &mut flips,
-                            telemetry,
-                        );
-                        total += w;
-                        record_solution(
-                            solutions,
-                            free_slots,
-                            sol_of,
-                            epoch,
-                            members,
-                            w,
-                            &flips[flip_start..],
-                        );
-                    }
-                    edge_at = edge_end;
-                    start = end;
-                }
-                if replayed > 0 {
-                    if let Some(tel) = telemetry {
-                        tel.clusters_replayed.add(replayed);
-                    }
-                }
-                if !tasks.is_empty() {
-                    // btwc-allow(PANIC-HOT): control-flow invariant —
-                    // `tasks` is only pushed to on the `pool.is_some()`
-                    // branch above, so the take cannot fail.
-                    let pool = pool.expect("tasks are only collected with a pool");
-                    let scratch_pool = &self.scratch_pool;
-                    let results = pool.map(&tasks, |_i, &(s, e, ea, ee)| {
-                        solve_cluster_task(
-                            graph,
-                            events,
-                            &order[s..e],
-                            &edges[ea..ee],
-                            scratch_pool,
-                            telemetry,
-                        )
-                    });
-                    for (ti, (w, task_flips)) in results.into_iter().enumerate() {
-                        let (s, e, ..) = tasks[ti];
-                        total += w;
-                        record_solution(
-                            solutions,
-                            free_slots,
-                            sol_of,
-                            epoch,
-                            &order[s..e],
-                            w,
-                            &task_flips,
-                        );
-                        flips.extend_from_slice(&task_flips);
-                    }
-                }
-
-                self.stream.sweep();
-                let corr = Correction::from_flips(flips);
-                self.stream.commit(&corr, total);
-                (corr, total)
-            }
-        }
-    }
-
     /// The decode kernel: merge colliding regions, then solve each
     /// cluster exactly — ≥3-event clusters on the pool when one is set
-    /// (folded in cluster order: bit-identical to inline), and each
-    /// solved cluster reported to `recorder` (member indices, weight,
-    /// flips) when the stream state wants to memoize it.
-    #[allow(clippy::type_complexity)]
+    /// (folded in cluster order: bit-identical to inline).
     pub(crate) fn decode_events_with(
         graph: &DetectorGraph,
         events: &[DetectionEvent],
         scratch: &mut SparseScratch,
         pool: Option<&Pool>,
         scratch_pool: &Mutex<Vec<ClusterScratch>>,
-        mut recorder: Option<&mut dyn FnMut(&[u32], i64, &[usize])>,
         telemetry: Option<&SparseTelemetry>,
     ) -> (Correction, i64) {
         let n = events.len();
@@ -589,8 +337,7 @@ impl SparseDecoder {
                 // cheaper to solve than to schedule.
                 tasks.push((start, end, edge_at, edge_end));
             } else {
-                let flip_start = flips.len();
-                let w = solve_cluster(
+                total += solve_cluster(
                     graph,
                     events,
                     &order[start..end],
@@ -599,10 +346,6 @@ impl SparseDecoder {
                     &mut flips,
                     telemetry,
                 );
-                total += w;
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec(&order[start..end], w, &flips[flip_start..]);
-                }
             }
             edge_at = edge_end;
             start = end;
@@ -625,12 +368,8 @@ impl SparseDecoder {
             // Fold in cluster (task) order: deterministic for any
             // worker count, and `Correction::from_flips` normalizes
             // flip order, so pooled == inline bit-for-bit.
-            for (ti, (w, task_flips)) in results.into_iter().enumerate() {
-                let (s, e, ..) = tasks[ti];
+            for (w, task_flips) in results {
                 total += w;
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec(&order[s..e], w, &task_flips);
-                }
                 flips.extend_from_slice(&task_flips);
             }
         }
@@ -757,10 +496,6 @@ impl ComplexDecoder for SparseDecoder {
         SparseDecoder::decode_window_mut(self, window)
     }
 
-    fn decode_stream_mut(&mut self, window: &RoundHistory) -> Correction {
-        self.decode_stream_weighted(window).0
-    }
-
     fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
         SparseDecoder::attach_telemetry(self, registry);
     }
@@ -870,8 +605,7 @@ mod tests {
 
     // The exactness contract (sparse weight == dense weight on noisy
     // windows) is pinned by the 1000-window sweep in
-    // tests/sparse_vs_dense.rs and the brute-force property suite; the
-    // streaming path is pinned against both by the streamed fuzz there.
+    // tests/sparse_vs_dense.rs and the brute-force property suite.
 
     #[test]
     fn locked_and_mut_paths_agree() {
@@ -903,71 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_decode_matches_batch_on_slides() {
-        // Slide a window one round at a time; the streaming path must
-        // agree with a from-scratch batch decode at every position.
-        let code = SurfaceCode::new(7);
-        let mut streaming = SparseDecoder::new(&code, StabilizerType::X);
-        let mut batch = SparseDecoder::new(&code, StabilizerType::X);
-        let n_anc = code.num_ancillas(StabilizerType::X);
-        let mut rng = SimRng::from_seed(0x51DE);
-        let mut window = RoundHistory::new(n_anc, 6);
-        for _ in 0..40 {
-            let bits: Vec<bool> = (0..n_anc).map(|_| rng.bernoulli(0.04)).collect();
-            window.push(&bits);
-            let (sc, sw) = streaming.decode_stream_weighted(&window);
-            let (bc, bw) = batch.decode_window_weighted(&window);
-            assert_eq!(sw, bw, "stream weight diverged from batch");
-            // Equal-weight matchings may differ on ties, but both must
-            // resolve the same syndrome.
-            let mut rs = vec![false; code.num_data_qubits()];
-            let mut rb = rs.clone();
-            sc.apply_to(&mut rs);
-            bc.apply_to(&mut rb);
-            assert_eq!(
-                code.syndrome_of(StabilizerType::X, &rs),
-                code.syndrome_of(StabilizerType::X, &rb),
-                "stream and batch corrections resolve different syndromes"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_decode_survives_resets_and_quiet_windows() {
-        let code = SurfaceCode::new(5);
-        let mut dec = SparseDecoder::new(&code, StabilizerType::X);
-        let n_anc = code.num_ancillas(StabilizerType::X);
-        let mut window = RoundHistory::new(n_anc, 4);
-        let quiet = vec![false; n_anc];
-        let mut lit = quiet.clone();
-        lit[1] = true;
-        // Quiet stream: cached empty result replayed.
-        for _ in 0..6 {
-            window.push(&quiet);
-            let (c, w) = dec.decode_stream_weighted(&window);
-            assert!(c.is_empty());
-            assert_eq!(w, 0);
-        }
-        // An event enters, slides through, and retires; every position
-        // must agree with a from-scratch decode.
-        let mut batch = SparseDecoder::new(&code, StabilizerType::X);
-        for _ in 0..6 {
-            window.push(&lit);
-            assert_eq!(
-                dec.decode_stream_weighted(&window),
-                batch.decode_window_weighted(&window),
-                "stream diverged while an event slid through"
-            );
-        }
-        // Reset jumps the coverage: next decode rebuilds.
-        window.reset();
-        window.push(&quiet);
-        let (c2, w2) = dec.decode_stream_weighted(&window);
-        assert!(c2.is_empty());
-        assert_eq!(w2, 0);
-    }
-
-    #[test]
     fn pooled_cluster_solves_are_bit_identical() {
         // One window with several ≥3-event clusters, decoded with no
         // pool and with pools of 1, 2, and 8 workers: identical
@@ -990,34 +659,25 @@ mod tests {
                 reference,
                 "pooled decode diverged at {workers} workers"
             );
-            assert_eq!(
-                pooled.decode_stream_weighted(&window),
-                reference,
-                "pooled stream decode diverged at {workers} workers"
-            );
         }
     }
 
     #[test]
     fn telemetry_counts_every_stream_classification() {
+        // What a decode classifies: every cluster by size, and every
+        // ≥3-event one as a blossom solve.
         let code = SurfaceCode::new(7);
         let registry = btwc_telemetry::MetricsRegistry::new();
         let mut dec = SparseDecoder::new(&code, StabilizerType::X).with_telemetry(&registry);
         let n_anc = code.num_ancillas(StabilizerType::X);
         let mut rng = SimRng::from_seed(0x7E1E);
         let mut window = RoundHistory::new(n_anc, 6);
-        let calls = 30u64;
-        for _ in 0..calls {
+        for _ in 0..30 {
             let bits: Vec<bool> = (0..n_anc).map(|_| rng.bernoulli(0.05)).collect();
             window.push(&bits);
-            let _ = dec.decode_stream_weighted(&window);
+            let _ = dec.decode_window_weighted(&window);
         }
         let snap = registry.snapshot();
-        let quiet = snap.get_counter("sparse.stream.quiet_slides").unwrap();
-        let incr = snap.get_counter("sparse.stream.incremental_slides").unwrap();
-        let rebuilds = snap.get_counter("sparse.stream.rebuilds").unwrap();
-        assert_eq!(quiet + incr + rebuilds, calls, "every call classifies exactly once");
-        assert!(rebuilds >= 1, "first call must rebuild");
         assert!(snap.get_counter("sparse.clusters_solved").unwrap() > 0);
         let histogram_count = |name: &str| match snap.get(name).unwrap() {
             btwc_telemetry::MetricValue::Histogram { count, .. } => *count,
@@ -1028,11 +688,10 @@ mod tests {
             snap.get_counter("sparse.clusters_solved").unwrap()
         );
         // Every ≥3-event cluster is one cold blossom solve with one
-        // stage-count sample; nothing is hinted any more.
+        // stage-count sample.
         let blossom_solves = snap.get_counter("sparse.warm.cold_solves").unwrap();
         assert!(blossom_solves > 0, "no cluster reached the blossom solver");
         assert_eq!(histogram_count("sparse.solve_stages"), blossom_solves);
-        assert_eq!(snap.get_counter("sparse.warm.hinted_solves"), Some(0));
         assert!(snap.get_counter("sparse.jump_matched").unwrap() > 0);
         assert!(snap.get_counter("sparse.retired_vertices").is_some());
     }

@@ -42,30 +42,16 @@
 //! [`SparseScratch`], so warmed-up decodes allocate only what leaves in
 //! the returned correction.
 //!
-//! The decoder is also **incremental across window slides**. A
-//! streaming consumer decodes every position of a sliding round window;
-//! consecutive positions share all but one round, yet a batch decode
-//! recomputes regions, collisions, and cluster matchings from scratch.
-//! [`SparseDecoder::decode_stream_weighted`] (and the
-//! `ComplexDecoder::decode_stream_mut` trait hook the pipeline tiers
-//! call) keeps the previous window's events, collision edges, and
-//! per-cluster matchings alive in a `StreamState`: a slide re-bases the
-//! surviving events (their pairwise collision structure is
-//! translation-invariant, so surviving edges are reused verbatim),
-//! scans only the dirty front/tail events for new collisions, and
-//! re-solves only the clusters those rounds actually touch — quiet
-//! slides return the committed correction without touching the solver
-//! at all. A touched cluster is simply solved again: the jump start
-//! recovers the undisturbed part of its old matching in two linear
-//! passes, so no solver state is carried from slide to slide.
-//! Everything stays exact: the streamed result is pinned bit-identical
-//! in weight to a from-scratch decode of every window position by the
-//! streamed differential fuzz in `tests/sparse_vs_dense.rs`.
+//! Every window is decoded from scratch. The hierarchy *consumes* a
+//! window on each complex decode (the tiers reset it once the
+//! correction is applied), so two successive off-chip requests of one
+//! qubit share no rounds and there is nothing for an incremental decode
+//! to reuse; see README, "Why there is no incremental decode".
 //!
 //! [`SparseDecoder`] mirrors the dense decoder's API (`decode_window`,
 //! `decode_events`, lock-free `_mut` and weight-reporting `_weighted`
 //! variants) and plugs into the hierarchy as a `ComplexDecoder` backend
-//! via `btwc_core::BtwcBuilder::offchip_backend`.
+//! via `btwc_core::DecoderBackend::SparseBlossom`.
 //!
 //! # Example
 //!
@@ -92,7 +78,6 @@ pub mod blossom;
 mod decoder;
 mod regions;
 mod scratch;
-mod stream;
 
 pub use blossom::{BlossomArena, ClusterEdge, SolveStats};
 pub use decoder::SparseDecoder;

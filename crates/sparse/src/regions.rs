@@ -87,76 +87,6 @@ pub(crate) fn merge_colliding_regions(
     }
 }
 
-/// Incremental collision discovery for a slid window: finds every
-/// colliding pair that involves a **dirty** event — one inserted by the
-/// slide (the re-based front prefix `0..front_dirty` or the appended
-/// tail `tail_start..`) — and appends it to `edges`.
-///
-/// Pairs of two clean (surviving) events are exactly the edges that
-/// survived from the previous window: both endpoints kept their
-/// ancillas and shifted their rounds by the same amount, so the
-/// collision inequality and the edge weight are unchanged. Together
-/// with the surviving edges this reproduces precisely the edge set
-/// [`merge_colliding_regions`] would discover from scratch.
-///
-/// `events` must be sorted by round (the maintained stream order). Each
-/// dirty event scans both directions until the round gap alone rules
-/// out a collision — the same `bd(u) + max_boundary_distance` horizon
-/// the batch scan prunes with. A dirty–dirty pair is added only from
-/// its lower-indexed endpoint, so nothing is discovered twice.
-pub(crate) fn scan_dirty_collisions(
-    graph: &DetectorGraph,
-    events: &[DetectionEvent],
-    front_dirty: usize,
-    tail_start: usize,
-    edges: &mut Vec<ClusterEdge>,
-) {
-    let horizon = graph.max_boundary_distance();
-    let n = events.len();
-    let dirty = |i: usize| i < front_dirty || i >= tail_start;
-    let mut scan = |u: usize| {
-        let eu = &events[u];
-        let bd_u = graph.boundary_distance(eu.ancilla);
-        // Beyond this round gap, even the closest possible partner
-        // would rather exit through the boundary.
-        let cutoff = (bd_u + horizon) as usize;
-        let mut pair = |v: usize| {
-            if dirty(v) && v <= u {
-                return; // the lower-indexed dirty endpoint adds it
-            }
-            let ev = &events[v];
-            let dt = eu.round.abs_diff(ev.round);
-            let bid = bd_u + graph.boundary_distance(ev.ancilla);
-            if dt as u32 >= bid {
-                return;
-            }
-            let d = graph.distance(eu.ancilla, ev.ancilla) + dt as u32;
-            if d < bid {
-                let (a, b) = if u < v { (u, v) } else { (v, u) };
-                edges.push(ClusterEdge::new(a as u32, b as u32, i64::from(d)));
-            }
-        };
-        for v in (0..u).rev() {
-            if eu.round - events[v].round >= cutoff {
-                break;
-            }
-            pair(v);
-        }
-        for (v, ev) in events.iter().enumerate().skip(u + 1) {
-            if ev.round - eu.round >= cutoff {
-                break;
-            }
-            pair(v);
-        }
-    };
-    for u in 0..front_dirty {
-        scan(u);
-    }
-    for u in tail_start..n {
-        scan(u);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,12 +12,12 @@
 //!   most of a window's events and the in-solver sparse blossom (not a
 //!   dense fallback) has to shrink real blossoms to stay exact;
 //! * the **streamed** differential fuzz: one continuous noisy trace per
-//!   `(d, p, slide)` cell, the window sliding forward `slide` rounds per
-//!   decode, asserting at every position that the incremental stream
-//!   decode, a from-scratch sparse decode, the dense oracle, and a
-//!   pooled streaming decoder all commit to the same matching weight —
-//!   the incremental path's cluster-solution reuse, quiet fast path,
-//!   and slide re-basing can never change the answer.
+//!   `(d, p, slide)` cell through a full (evicting) window advancing
+//!   `slide` rounds per decode, asserting at every position that a
+//!   from-scratch sparse decode and the dense oracle commit to the same
+//!   matching weight and that a pooled sparse decoder is bit-identical
+//!   to the unpooled one — the only fuzz whose windows have a front
+//!   round re-based by eviction.
 //!
 //! Set `BTWC_FUZZ_WINDOWS` to rescale the chained-cluster and streamed
 //! budgets (the CI slow-fuzz job raises it; the default keeps
@@ -143,24 +143,23 @@ fn chained_cluster_fuzz_sparse_weight_equals_dense() {
     assert!(max_events >= 40, "largest window had only {max_events} events");
 }
 
-/// The streamed differential fuzz: one continuous noisy trace per cell,
-/// decoded at every slide position by four decoders that must agree on
-/// the committed matching weight —
+/// The streamed differential fuzz: one continuous noisy trace per cell
+/// through a window that is full from the first position on, so every
+/// decoded window's front round was re-based by eviction (its events
+/// diffed against the all-zero baseline instead of the round that fell
+/// out). At every position
 ///
-/// * the **incremental** streaming sparse decoder (persistent regions,
-///   collision edges, and cluster solutions across slides),
-/// * a **from-scratch** sparse decoder (batch kernel every position),
-/// * the **dense** MWPM oracle,
-/// * a **pooled** streaming sparse decoder (≥3-event cluster solves on
-///   a `btwc_pool::Pool`), which must further be *bit-identical* to the
-///   unpooled incremental decoder — the property the CI `BTWC_WORKERS=1`
-///   repeat pins across worker counts.
+/// * the from-scratch **sparse** decode and the **dense** MWPM oracle
+///   must agree on the committed matching weight, and
+/// * a **pooled** sparse decoder (≥3-event cluster solves on a
+///   `btwc_pool::Pool`) must be *bit-identical* to the unpooled one —
+///   the property the CI `BTWC_WORKERS=1` repeat pins across worker
+///   counts.
 ///
-/// Slide-by-1 exercises the incremental machinery hardest (maximum
-/// overlap, front re-basing every step); slide-by-`d` replaces the whole
-/// window each step and must fall back to a rebuild with the same
-/// answer. Each cell's trace is seeded independently, so any failure
-/// reproduces from the printed seed and step index alone.
+/// Slide-by-1 keeps maximum overlap between successive windows;
+/// slide-by-`d` replaces the whole window each step. Each cell's trace
+/// is seeded independently, so any failure reproduces from the printed
+/// seed and step index alone.
 #[test]
 fn streamed_fuzz_incremental_equals_fromscratch_and_dense() {
     // (distance, error rate, slide, relative weight of the budget).
@@ -175,32 +174,30 @@ fn streamed_fuzz_incremental_equals_fromscratch_and_dense() {
     ];
     let total = fuzz_window_budget(1000);
     let ty = StabilizerType::X;
-    let mut incremental_positions = 0u64;
     for (d, p, slide, weight) in plan {
         let positions = (total * weight / 100).max(2);
         let code = SurfaceCode::new(d);
         let noise = PhenomenologicalNoise::uniform(p);
         let n_anc = code.num_ancillas(ty);
-        let mut streaming = SparseDecoder::new(&code, ty);
+        let mut sparse = SparseDecoder::new(&code, ty);
         let mut pooled = SparseDecoder::new(&code, ty).with_pool(Arc::new(Pool::auto()));
-        let mut batch = SparseDecoder::new(&code, ty);
         let mut dense = MwpmDecoder::new(&code, ty);
         let seed = 0x57E4_A11Du64 ^ (u64::from(d) << 40) ^ ((slide as u64) << 32) ^ p.to_bits();
         let mut rng = SimRng::from_seed(seed);
         let mut errors = vec![false; code.num_data_qubits()];
         let mut meas = vec![false; n_anc];
         let mut window = RoundHistory::new(n_anc, usize::from(d));
-        let mut pooled_window = window.clone();
-        for step in 0..positions {
-            for _ in 0..slide {
-                let round = noisy_round(&code, ty, &noise, &mut rng, &mut errors, &mut meas);
-                window.push(&round);
-                pooled_window.push(&round);
+        let mut advance = |window: &mut RoundHistory, rounds: usize| {
+            for _ in 0..rounds {
+                window.push(&noisy_round(&code, ty, &noise, &mut rng, &mut errors, &mut meas));
             }
-            incremental_positions += u64::from(slide < usize::from(d));
-            let (c_inc, w_inc) = streaming.decode_stream_weighted(&window);
-            let (c_batch, w_batch) = batch.decode_window_weighted(&window);
-            let (_, w_dense) = dense.decode_window_weighted(&window);
+        };
+        // Fill the window first: every push below evicts.
+        advance(&mut window, usize::from(d));
+        for step in 0..positions {
+            advance(&mut window, slide);
+            let (c_sparse, w_sparse) = sparse.decode_window_weighted(&window);
+            let (c_dense, w_dense) = dense.decode_window_weighted(&window);
             let ctx = || {
                 format!(
                     "d={d} p={p} slide={slide} step {step} \
@@ -208,34 +205,26 @@ fn streamed_fuzz_incremental_equals_fromscratch_and_dense() {
                     dump_events(&window)
                 )
             };
-            assert_eq!(w_inc, w_batch, "incremental weight diverged from from-scratch: {}", ctx());
-            assert_eq!(w_batch, w_dense, "sparse weight diverged from dense oracle: {}", ctx());
+            assert_eq!(w_sparse, w_dense, "sparse weight diverged from dense oracle: {}", ctx());
             // Equal-weight matchings may tie-break differently, but any
-            // perfect matching of the same events flips a correction
-            // with the same spatial syndrome.
-            let mut flipped_inc = vec![false; code.num_data_qubits()];
-            let mut flipped_batch = flipped_inc.clone();
-            c_inc.apply_to(&mut flipped_inc);
-            c_batch.apply_to(&mut flipped_batch);
+            // matching of the same events flips a correction with the
+            // same spatial syndrome.
+            let mut flipped_sparse = vec![false; code.num_data_qubits()];
+            let mut flipped_dense = flipped_sparse.clone();
+            c_sparse.apply_to(&mut flipped_sparse);
+            c_dense.apply_to(&mut flipped_dense);
             assert_eq!(
-                code.syndrome_of(ty, &flipped_inc),
-                code.syndrome_of(ty, &flipped_batch),
-                "incremental correction resolves a different syndrome: {}",
+                code.syndrome_of(ty, &flipped_sparse),
+                code.syndrome_of(ty, &flipped_dense),
+                "sparse correction resolves a different syndrome: {}",
                 ctx()
             );
-            // The pooled streaming decoder follows the same stream and
-            // must match the unpooled one bit-for-bit.
-            let (c_pool, w_pool) = pooled.decode_stream_weighted(&pooled_window);
             assert_eq!(
-                (c_pool, w_pool),
-                (c_inc, w_inc),
-                "pooled stream decode diverged from inline: {}",
+                pooled.decode_window_weighted(&window),
+                (c_sparse, w_sparse),
+                "pooled decode diverged from inline: {}",
                 ctx()
             );
         }
     }
-    assert!(
-        incremental_positions >= total.min(1000) * 3 / 4,
-        "only {incremental_positions} slide positions exercised the incremental path"
-    );
 }

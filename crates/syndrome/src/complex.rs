@@ -30,15 +30,8 @@ pub trait ComplexDecoder {
         self.decode_window(window)
     }
 
-    /// Decodes `window` as the latest position of a **sliding stream**:
-    /// implementations that keep incremental state (regions, collision
-    /// edges, cluster matchings) override this to reuse everything the
-    /// previous call already computed when `window` is a forward slide
-    /// of the window they decoded last (same [`RoundHistory::stream_id`],
-    /// coverage moved forward with overlap). On any other input —
-    /// including a fresh or reset window — the result is identical to
-    /// [`ComplexDecoder::decode_window_mut`]; the default simply
-    /// forwards there, so stateless decoders participate unchanged.
+    /// Forwards to [`ComplexDecoder::decode_window_mut`]; no decoder
+    /// overrides it. Kept only because `benchmarks/e2e` calls it.
     fn decode_stream_mut(&mut self, window: &RoundHistory) -> Correction {
         self.decode_window_mut(window)
     }
@@ -61,10 +54,10 @@ pub trait ComplexDecoder {
     }
 
     /// Attach a metrics registry: from here on the decoder records its
-    /// internals (stream fast-path hits, solver stage counts, cluster
-    /// sizes, …) into `registry`. The default is a no-op so stateless or
-    /// uninstrumented decoders participate unchanged; implementations
-    /// register their metrics under a stable `<backend>.` name prefix.
+    /// internals (solver stage counts, cluster sizes, …) into
+    /// `registry`. The default is a no-op so stateless or uninstrumented
+    /// decoders participate unchanged; implementations register their
+    /// metrics under a stable `<backend>.` name prefix.
     fn attach_telemetry(&mut self, registry: &btwc_telemetry::MetricsRegistry) {
         let _ = registry;
     }

@@ -1,13 +1,9 @@
 //! Sliding window of measurement rounds.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::packed::PackedBits;
 use crate::repr::Syndrome;
-
-/// Process-wide source of [`RoundHistory`] stream identities.
-static NEXT_STREAM_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A detection event: ancilla `ancilla` changed value at round `round`
 /// of the current window (round indices are window-relative, oldest = 0).
@@ -36,27 +32,13 @@ pub struct DetectionEvent {
 ///
 /// Evicted round buffers are recycled, so a long-running window performs
 /// no per-round heap allocation in steady state.
-///
-/// The window tracks its position in the stream it was fed from: every
-/// retained round has an **absolute** stream index
-/// (`start_round() + window-relative index`), advanced whenever rounds
-/// leave through the front — eviction on push, [`RoundHistory::slide`],
-/// or [`RoundHistory::reset`] (which jumps past everything it drops).
-/// Incremental consumers ([`crate::ComplexDecoder::decode_stream_mut`])
-/// use `(stream_id, start_round, len)` to recognise a forward slide of
-/// the same stream and reuse work from the previous call.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoundHistory {
     num_ancillas: usize,
     capacity: usize,
     rounds: VecDeque<PackedBits>,
     /// Recycled buffers from evicted/reset rounds.
     spare: Vec<PackedBits>,
-    /// Absolute stream index of `rounds[0]`.
-    start_round: u64,
-    /// Process-unique identity of this window's stream (fresh per
-    /// construction and per clone, so two windows never alias).
-    stream_id: u64,
     /// Detection events contributed by each retained round under the
     /// current window basis: entry 0 is the front round's weight (the
     /// all-zero-baseline diff), entry `t > 0` the XOR weight against
@@ -64,26 +46,6 @@ pub struct RoundHistory {
     event_counts: VecDeque<u32>,
     /// Running sum of `event_counts` — O(1) `detection_event_count`.
     event_total: usize,
-}
-
-impl Clone for RoundHistory {
-    fn clone(&self) -> Self {
-        Self {
-            num_ancillas: self.num_ancillas,
-            capacity: self.capacity,
-            rounds: self.rounds.clone(),
-            spare: Vec::new(),
-            start_round: self.start_round,
-            // A clone is a new stream: it can diverge from the original
-            // (different pushes at the same coverage), so incremental
-            // decoders must never mistake one for the other.
-            // det: fetch_add commutes — ids only need to be distinct,
-            // never ordered; no decoded result depends on their values.
-            stream_id: NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed),
-            event_counts: self.event_counts.clone(),
-            event_total: self.event_total,
-        }
-    }
 }
 
 impl RoundHistory {
@@ -101,33 +63,9 @@ impl RoundHistory {
             capacity,
             rounds: VecDeque::with_capacity(capacity + 1),
             spare: Vec::with_capacity(capacity + 1),
-            start_round: 0,
-            // det: fetch_add commutes — ids only need to be distinct,
-            // never ordered; no decoded result depends on their values.
-            stream_id: NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed),
             event_counts: VecDeque::with_capacity(capacity + 1),
             event_total: 0,
         }
-    }
-
-    /// Absolute stream index of the oldest retained round (the index the
-    /// next pushed round would get when the window is empty). Advances
-    /// by one per eviction, by `k` per [`RoundHistory::slide`], and past
-    /// every dropped round on [`RoundHistory::reset`].
-    #[must_use]
-    pub fn start_round(&self) -> u64 {
-        self.start_round
-    }
-
-    /// Process-unique identity of this window (fresh per construction
-    /// and per clone). Together with [`RoundHistory::start_round`] and
-    /// [`RoundHistory::len`] it lets an incremental decoder prove that a
-    /// window is a forward slide of the one it decoded last: within one
-    /// stream id, retained content only ever changes by appending at the
-    /// back and dropping at the front.
-    #[must_use]
-    pub fn stream_id(&self) -> u64 {
-        self.stream_id
     }
 
     /// Number of ancillas per round.
@@ -160,9 +98,8 @@ impl RoundHistory {
     }
 
     /// Appends a filled buffer, evicting (and recycling) the oldest
-    /// round if full — eviction *slides* the window: the surviving
-    /// rounds keep their absolute stream indices and the front round's
-    /// detection events re-base against the all-zero baseline.
+    /// round if full — the new front round's detection events then
+    /// re-base against the all-zero baseline.
     fn push_buffer(&mut self, buf: PackedBits) {
         let count = match self.rounds.back() {
             Some(prev) => buf.xor_weight(prev),
@@ -172,21 +109,17 @@ impl RoundHistory {
         self.event_counts.push_back(count as u32);
         self.event_total += count;
         if self.rounds.len() > self.capacity {
-            self.drop_front_rounds(1);
+            self.evict_front();
         }
     }
 
-    /// Drops the `k` oldest rounds (recycling their buffers), advances
-    /// `start_round`, and re-bases the new front round's event count
-    /// against the all-zero baseline. `k <= len()`.
-    fn drop_front_rounds(&mut self, k: usize) {
-        for _ in 0..k {
-            let evicted = self.rounds.pop_front().expect("dropped rounds must exist");
-            self.spare.push(evicted);
-            let dropped = self.event_counts.pop_front().expect("counts track rounds");
-            self.event_total -= dropped as usize;
-        }
-        self.start_round += k as u64;
+    /// Drops the oldest round (recycling its buffer) and re-bases the
+    /// new front round's event count against the all-zero baseline.
+    fn evict_front(&mut self) {
+        let evicted = self.rounds.pop_front().expect("evicted round must exist");
+        self.spare.push(evicted);
+        let dropped = self.event_counts.pop_front().expect("counts track rounds");
+        self.event_total -= dropped as usize;
         if let Some(front) = self.rounds.front() {
             // The new front round now diffs against the all-zero
             // baseline instead of its (dropped) predecessor.
@@ -195,21 +128,6 @@ impl RoundHistory {
             self.event_counts[0] = rebased as u32;
             self.event_total = self.event_total - old + rebased;
         }
-    }
-
-    /// Slides the window forward by `k` rounds: the `k` oldest rounds
-    /// are dropped (buffers recycled), the survivors keep their absolute
-    /// stream indices, and the surviving detection events re-base — the
-    /// new front round's events become its lit bits (the diff against
-    /// the all-zero baseline), exactly as if the surviving rounds had
-    /// been pushed into a fresh window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > len()`.
-    pub fn slide(&mut self, k: usize) {
-        assert!(k <= self.rounds.len(), "cannot slide {k} of {} rounds", self.rounds.len());
-        self.drop_front_rounds(k);
     }
 
     /// Appends a measurement round given as a bool slice.
@@ -347,36 +265,17 @@ impl RoundHistory {
     /// Number of detection events in the retained window, without
     /// materializing them — O(1): per-round event counters are
     /// maintained as rounds are pushed (one fused XOR+popcount per
-    /// push) and re-based as rounds slide out the front. Decoders use
-    /// this to skip the event enumeration (and any scratch locking) on
-    /// windows with nothing to match.
+    /// push) and re-based as rounds are evicted from the front.
+    /// Decoders use this to skip the event enumeration (and any scratch
+    /// locking) on windows with nothing to match.
     #[must_use]
     pub fn detection_event_count(&self) -> usize {
         self.event_total
     }
 
-    /// Detection events contributed by retained round `i` under the
-    /// current window basis: the round's lit-bit weight for `i == 0`
-    /// (the all-zero-baseline diff), the XOR weight against round
-    /// `i - 1` otherwise. Incremental decoders use this to recognise
-    /// quiet slides — appended rounds that add no events — without
-    /// touching any per-bit state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[must_use]
-    pub fn round_event_count(&self, i: usize) -> usize {
-        self.event_counts[i] as usize
-    }
-
     /// Forgets all retained rounds (used after a decoder resolves the
     /// window and resets the reference frame). Buffers are recycled.
-    /// `start_round` jumps past every dropped round, so incremental
-    /// consumers see the coverage gap and rebuild instead of reusing
-    /// state across the reset.
     pub fn reset(&mut self) {
-        self.start_round += self.rounds.len() as u64;
         self.spare.extend(self.rounds.drain(..));
         self.event_counts.clear();
         self.event_total = 0;
@@ -531,53 +430,19 @@ mod tests {
 
     #[test]
     fn slide_rebases_events_like_a_fresh_window() {
-        let mut h = RoundHistory::new(3, 8);
+        // The window slides by eviction: pushing past capacity drops
+        // the oldest rounds and the new front round's events re-base.
+        let mut h = RoundHistory::new(3, 2);
         h.push(&round(&[1, 0, 0]));
         h.push(&round(&[1, 1, 0]));
         h.push(&round(&[0, 1, 1]));
         h.push(&round(&[0, 1, 1]));
-        h.slide(2);
-        let mut fresh = RoundHistory::new(3, 8);
+        let mut fresh = RoundHistory::new(3, 2);
         fresh.push(&round(&[0, 1, 1]));
         fresh.push(&round(&[0, 1, 1]));
         assert_eq!(h.detection_events(), fresh.detection_events());
         assert_eq!(h.detection_event_count(), fresh.detection_event_count());
         assert_eq!(h.len(), 2);
-        assert_eq!(h.start_round(), 2);
-    }
-
-    #[test]
-    fn start_round_tracks_evictions_slides_and_resets() {
-        let mut h = RoundHistory::new(1, 2);
-        assert_eq!(h.start_round(), 0);
-        h.push(&round(&[1]));
-        h.push(&round(&[0]));
-        h.push(&round(&[1])); // evicts one
-        assert_eq!(h.start_round(), 1);
-        h.slide(1);
-        assert_eq!(h.start_round(), 2);
-        h.reset();
-        assert_eq!(h.start_round(), 3, "reset jumps past the retained round");
-        assert_eq!(h.detection_event_count(), 0);
-    }
-
-    #[test]
-    fn eviction_matches_explicit_slide() {
-        // Pushing past capacity must behave exactly like slide(1).
-        let mut evicting = RoundHistory::new(2, 3);
-        let mut sliding = RoundHistory::new(2, 8);
-        let rounds = [[1u8, 0], [1, 1], [0, 1], [1, 1], [0, 0], [1, 0]];
-        for (i, r) in rounds.iter().enumerate() {
-            evicting.push(&round(r));
-            sliding.push(&round(r));
-            if i >= 3 {
-                sliding.slide(1);
-            }
-        }
-        assert_eq!(evicting.len(), sliding.len());
-        assert_eq!(evicting.start_round(), sliding.start_round());
-        assert_eq!(evicting.detection_events(), sliding.detection_events());
-        assert_eq!(evicting.detection_event_count(), sliding.detection_event_count());
     }
 
     #[test]
@@ -595,39 +460,9 @@ mod tests {
             assert_eq!(h.detection_event_count(), events.len());
             for t in 0..h.len() {
                 let expect = events.iter().filter(|e| e.round == t).count();
-                assert_eq!(h.round_event_count(t), expect, "round {t}");
+                assert_eq!(h.event_counts[t] as usize, expect, "round {t}");
             }
         }
-    }
-
-    #[test]
-    fn slide_to_empty_and_full_slide_are_clean() {
-        let mut h = RoundHistory::new(2, 4);
-        h.push(&round(&[1, 1]));
-        h.push(&round(&[0, 1]));
-        h.slide(2);
-        assert!(h.is_empty());
-        assert_eq!(h.detection_event_count(), 0);
-        assert_eq!(h.start_round(), 2);
-        h.push(&round(&[1, 0]));
-        assert_eq!(h.detection_event_count(), 1);
-    }
-
-    #[test]
-    fn clones_get_fresh_stream_ids() {
-        let h = RoundHistory::new(2, 4);
-        let c = h.clone();
-        assert_ne!(h.stream_id(), c.stream_id());
-        assert_ne!(h.stream_id(), RoundHistory::new(2, 4).stream_id());
-        assert_eq!(h.start_round(), c.start_round());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot slide")]
-    fn slide_past_len_rejected() {
-        let mut h = RoundHistory::new(2, 4);
-        h.push(&round(&[1, 0]));
-        h.slide(2);
     }
 
     #[test]

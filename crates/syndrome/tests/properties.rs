@@ -231,36 +231,32 @@ proptest! {
     }
 }
 
-/// Sliding compaction: after `slide(k)`, the re-based detection events
-/// (front round diffed against the all-zero baseline again) must match
-/// a window freshly built from the surviving rounds — across word
-/// boundaries, partial words, and quiet (empty-event) prefixes.
+/// The window slides by eviction: after `k` rounds fall out the front,
+/// the re-based detection events (front round diffed against the
+/// all-zero baseline again) must match a window freshly built from the
+/// surviving rounds — across word boundaries, partial words, and quiet
+/// (empty-event) prefixes.
 mod slide_rebases_like_fresh {
     use super::*;
 
     fn check(width: usize, rounds: &[Vec<bool>], k: usize, quiet_prefix: usize) {
-        let mut slid = RoundHistory::new(width, rounds.len().max(1) + quiet_prefix);
-        for _ in 0..quiet_prefix {
-            slid.push(&vec![false; width]);
-        }
-        for r in rounds {
+        let quiet = vec![false; width];
+        let all: Vec<&Vec<bool>> =
+            std::iter::repeat_n(&quiet, quiet_prefix).chain(rounds).collect();
+        // A capacity `k` short of the trace evicts exactly `k` rounds.
+        let k = k.min(all.len() - 1);
+        let mut slid = RoundHistory::new(width, all.len() - k);
+        for r in &all {
             slid.push(r);
         }
-        let k = k.min(slid.len());
-        slid.slide(k);
-        let mut fresh = RoundHistory::new(width, rounds.len().max(1) + quiet_prefix);
-        for t in k..(quiet_prefix + rounds.len()) {
-            if t < quiet_prefix {
-                fresh.push(&vec![false; width]);
-            } else {
-                fresh.push(&rounds[t - quiet_prefix]);
-            }
+        let mut fresh = RoundHistory::new(width, all.len() - k);
+        for r in &all[k..] {
+            fresh.push(r);
         }
         assert_eq!(slid.detection_events(), fresh.detection_events());
         assert_eq!(slid.detection_event_count(), fresh.detection_event_count());
         assert_eq!(slid.len(), fresh.len());
         for t in 0..slid.len() {
-            assert_eq!(slid.round_event_count(t), fresh.round_event_count(t), "round {t}");
             assert_eq!(slid.round(t), fresh.round(t), "round {t}");
         }
     }
@@ -287,7 +283,7 @@ mod slide_rebases_like_fresh {
                 proptest::collection::vec(any::<bool>(), 65), 1..5),
         ) {
             check(5, &rounds, k, 0);
-            check(65, &wide, k.min(wide.len()), 0);
+            check(65, &wide, k, 0);
         }
 
         /// Empty-prefix windows: all-zero leading rounds, slides that
@@ -302,21 +298,20 @@ mod slide_rebases_like_fresh {
             check(9, &rounds, k, quiet);
         }
 
-        /// Repeated single-round slides traverse every boundary a long
-        /// stream crosses, staying equal to fresh windows throughout.
+        /// Repeated single-round evictions traverse every boundary a
+        /// long stream crosses, staying equal to fresh windows
+        /// throughout.
         #[test]
         fn repeated_slides_stay_rebased(
             rounds in proptest::collection::vec(
                 proptest::collection::vec(any::<bool>(), 70), 2..9),
+            capacity in 1usize..4,
         ) {
-            let mut h = RoundHistory::new(70, rounds.len());
-            for r in &rounds {
+            let mut h = RoundHistory::new(70, capacity);
+            for (t, r) in rounds.iter().enumerate() {
                 h.push(r);
-            }
-            for dropped in 1..rounds.len() {
-                h.slide(1);
-                let mut fresh = RoundHistory::new(70, rounds.len());
-                for r in &rounds[dropped..] {
+                let mut fresh = RoundHistory::new(70, capacity);
+                for r in &rounds[(t + 1).saturating_sub(capacity)..=t] {
                     fresh.push(r);
                 }
                 prop_assert_eq!(h.detection_events(), fresh.detection_events());

@@ -12,8 +12,8 @@ use crate::graph::SpaceTimeGraph;
 /// Drop-in alternative to the exact MWPM matcher: almost-linear-time
 /// decoding at a small accuracy cost, the natural middle tier of the
 /// paper's proposed decoder hierarchy (Sec. 8.1). Implements
-/// [`btwc_syndrome::ComplexDecoder`], so `BtwcDecoder::builder(...)
-/// .complex_decoder(Box::new(uf))` swaps it in behind Clique.
+/// [`btwc_syndrome::ComplexDecoder`]; `BtwcDecoder::builder(...)
+/// .backend(DecoderBackend::UnionFind)` puts it behind Clique.
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     ty: StabilizerType,

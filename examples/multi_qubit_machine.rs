@@ -41,7 +41,6 @@ fn export_and_check_snapshot(registry: &MetricsRegistry) {
         "\"machine.qubit_stall_cycles\"",
         "\"sparse.clusters_solved\"",
         "\"sparse.solve_stages\"",
-        "\"sparse.stream.rebuilds\"",
     ] {
         assert!(raw.contains(key), "{path} is missing {key}");
     }

@@ -4,7 +4,7 @@
 //! and the same loop driven at machine scale through [`BtwcMachine`],
 //! from raw syndromes to Fig. 16-style execution-time increase.
 
-use btwc::bandwidth::{DecodeRequest, IoModel};
+use btwc::bandwidth::{DecodeRequest, IoModel, FRAME_V2_HEADER, FRAME_V2_TRAILER};
 use btwc::core::{BtwcMachine, DecoderBackend, StabilizerType, SurfaceCode, SyndromeBatch};
 use btwc::mwpm::MwpmDecoder;
 use btwc::syndrome::RoundHistory;
@@ -24,10 +24,10 @@ fn framed_window_decodes_identically_after_the_wire() {
 
     // On-chip side: frame and "transmit".
     let request = DecodeRequest::new(42, 1_000_000, rounds.clone());
-    let wire = request.encode();
+    let wire = request.encode_v2();
 
     // Off-chip side: parse and decode.
-    let received = DecodeRequest::decode(&wire).expect("frame parses");
+    let received = DecodeRequest::decode_v2(&wire).expect("frame parses");
     assert_eq!(received.qubit, 42);
     let mut window = RoundHistory::new(received.bits_per_round(), received.rounds.len());
     received.replay_into(&mut window);
@@ -50,19 +50,20 @@ fn framed_window_decodes_identically_after_the_wire() {
 #[test]
 fn frame_size_matches_io_budgeting() {
     // The Gbps model and the wire format must agree on per-request cost
-    // (modulo the fixed header and byte padding).
+    // (modulo the fixed header, CRC trailer and byte padding).
     let d = 9u16;
     let code = SurfaceCode::new(d);
     let n_anc = code.num_ancillas(StabilizerType::X);
     let rounds = vec![vec![false; n_anc]; 2];
     let request = DecodeRequest::new(0, 0, rounds);
     let payload_bits = 2 * n_anc.div_ceil(8) * 8;
-    assert_eq!(request.frame_len() * 8, 16 * 8 + payload_bits);
+    let overhead_bits = (FRAME_V2_HEADER + FRAME_V2_TRAILER) * 8;
+    assert_eq!(request.frame_len_v2() * 8, overhead_bits + payload_bits);
     // IoModel defaults count raw syndrome bits for both planes; the
     // framed payload for one plane over two rounds stays within 2x of
     // that accounting.
     let io = IoModel::for_distance(d);
-    assert!(request.frame_len() * 8 <= 2 * io.bits_per_decode + 16 * 8);
+    assert!(request.frame_len_v2() * 8 <= 2 * io.bits_per_decode + overhead_bits);
 }
 
 /// Drives a machine end to end: sampled noise → batched packed rounds
