@@ -56,7 +56,7 @@ mod tests {
     #[test]
     fn scoping_matches_the_lint_catalog() {
         assert!(classify("vendor/rand/src/lib.rs").is_none());
-        assert!(classify("crates/bench/src/bin/bench.rs").is_none());
+        assert!(classify("crates/bench/src/bin/fig11.rs").is_none());
         assert!(classify("crates/analyzer/src/lints.rs").is_none());
         assert!(classify("crates/sparse/tests/properties.rs").is_none());
         assert!(classify("examples/quickstart.rs").is_none());

@@ -7,17 +7,14 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 
 use btwc_afs::{Compressor, DynamicCompressor, SparseRepr};
-use btwc_bench::baseline::{
-    coverage_sweep_per_point, sample_noisy_rounds, sample_noisy_window, BoolVecHistory,
-};
-use btwc_bench::{sweep_throughput_axes, SWEEP_BENCH_WORKERS};
+use btwc_bench::baseline::{sample_noisy_rounds, sample_noisy_window, BoolVecHistory};
 use btwc_clique::{CliqueDecoder, CliqueFrontend};
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_mwpm::blossom::minimum_weight_perfect_matching;
 use btwc_mwpm::MwpmDecoder;
 use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
 use btwc_sfq::{synthesize_clique, NetlistState};
-use btwc_sim::{coverage_sweep, logical_error_rate, DecoderKind, ShotConfig};
+use btwc_sim::{logical_error_rate, DecoderKind, ShotConfig};
 use btwc_sparse::SparseDecoder;
 use btwc_syndrome::{DetectionEvent, PackedBits, RoundHistory, Syndrome};
 use btwc_uf::UnionFindDecoder;
@@ -218,31 +215,6 @@ fn bench_chained_cluster(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sweep *schedule* comparison: one mixed-distance `(p, d)` grid at
-/// a fixed per-point cycle budget, run under the pre-pool per-point
-/// scoped-thread schedule (a barrier plus `SWEEP_BENCH_WORKERS` thread
-/// spawns and pipeline constructions at every point) versus the
-/// whole-grid work-stealing pool (every `(point, shard)` task submitted
-/// at once). The same per-point cycle budget on both sides — the
-/// measured delta is pure scheduling.
-fn bench_sweep_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sweep_throughput");
-    group.sample_size(10);
-    let (rates, distances) = sweep_throughput_axes();
-    let cycles = 2_000u64;
-    // Resolve the effective count once: a `BTWC_WORKERS` override would
-    // otherwise apply to the pool arm only (the scoped baseline spawns
-    // raw threads), skewing the comparison.
-    let workers = btwc_pool::Pool::new(SWEEP_BENCH_WORKERS).workers();
-    group.bench_function("scoped_per_point", |b| {
-        b.iter(|| black_box(coverage_sweep_per_point(&rates, &distances, cycles, 11, workers)));
-    });
-    group.bench_function("pooled_whole_grid", |b| {
-        b.iter(|| black_box(coverage_sweep(&rates, &distances, cycles, 11, workers)));
-    });
-    group.finish();
-}
-
 /// The machine-tier comparison: one batched [`BtwcMachine::step`]
 /// (word-parallel sticky filtering across all qubits, transport-framed
 /// escalations) versus the per-qubit reference loop
@@ -405,7 +377,6 @@ criterion_group!(
     bench_mwpm_decode,
     bench_sparse_vs_dense,
     bench_chained_cluster,
-    bench_sweep_throughput,
     bench_machine_step,
     bench_blossom_scaling,
     bench_mwpm_events,

@@ -1,75 +1,17 @@
-//! Reference implementations kept as comparison baselines: the seed's
-//! `Vec<bool>` byte-per-bit syndrome path (for the packed-bitset
-//! benchmarks) and the pre-pool per-point scoped-thread sweep schedule
-//! (for the `sweep_throughput` benchmarks) — both used by
-//! `benches/decoders.rs`, the `bench` binary, and equivalence tests.
+//! Reference implementation kept as a comparison baseline — the seed's
+//! `Vec<bool>` byte-per-bit syndrome path, for the packed-bitset
+//! benchmark — and the shared workload generators of
+//! `benches/decoders.rs`.
 
 use std::collections::VecDeque;
 
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
-use btwc_sim::{CoveragePoint, LifetimeConfig, LifetimeSim, LifetimeStats};
 use btwc_syndrome::RoundHistory;
-
-/// The pre-pool sweep schedule, kept verbatim as the `sweep_throughput`
-/// baseline: every grid point runs its own `std::thread::scope`, the
-/// point's cycles split evenly across `workers` threads (each paying
-/// thread spawn plus its own full pipeline construction), with a
-/// barrier at every point boundary — cheap d = 3 points hold the grid
-/// loop hostage to nothing, expensive d ≥ 13 points get no help from
-/// cores that already finished other points. Also reproduces the old
-/// schedule's cross-point seed reuse (every point the same root seed).
-#[must_use]
-pub fn coverage_sweep_per_point(
-    error_rates: &[f64],
-    distances: &[u16],
-    cycles: u64,
-    seed: u64,
-    workers: usize,
-) -> Vec<CoveragePoint> {
-    assert!(workers > 0, "need at least one worker");
-    let mut out = Vec::with_capacity(error_rates.len() * distances.len());
-    for &p in error_rates {
-        for &d in distances {
-            let cfg = LifetimeConfig::new(d, p).with_cycles(cycles).with_seed(seed);
-            let per = cfg.cycles / workers as u64;
-            let extra = cfg.cycles % workers as u64;
-            let root = SimRng::from_seed(cfg.seed);
-            let mut merged: Option<LifetimeStats> = None;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let mut wcfg = cfg;
-                        wcfg.cycles = per + u64::from((w as u64) < extra);
-                        wcfg.seed = root.fork(w as u64).seed();
-                        scope.spawn(move || LifetimeSim::new(&wcfg).run())
-                    })
-                    .collect();
-                for h in handles {
-                    let stats = h.join().expect("worker panicked");
-                    match &mut merged {
-                        None => merged = Some(stats),
-                        Some(m) => m.merge(&stats),
-                    }
-                }
-            });
-            let stats = merged.expect("at least one worker ran");
-            out.push(CoveragePoint {
-                distance: d,
-                physical_error_rate: p,
-                coverage: stats.coverage(),
-                nonzero_onchip: stats.nonzero_onchip_fraction(),
-                offchip_fraction: stats.offchip_fraction(),
-            });
-        }
-    }
-    out
-}
 
 /// A deterministic stream of raw syndrome rounds (accumulating data
 /// errors plus per-round transient measurement flips) — the shared
-/// workload of the sticky-filter benchmarks, so the Criterion bench
-/// and the `bench` binary measure the identical round stream.
+/// workload of the `sticky_filter` benchmarks.
 #[must_use]
 pub fn sample_noisy_rounds(code: &SurfaceCode, count: usize, p: f64, seed: u64) -> Vec<Vec<bool>> {
     let n_anc = code.num_ancillas(StabilizerType::X);

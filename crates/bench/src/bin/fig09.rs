@@ -3,9 +3,9 @@
 //! (new decodes, carryover, and stall markers).
 
 use btwc_bandwidth::{ArrivalModel, QueueSim};
-use btwc_bench::{print_table, scaled, workers};
+use btwc_bench::{print_table, scaled};
 use btwc_noise::SimRng;
-use btwc_sim::{multi_qubit_trace, LifetimeConfig};
+use btwc_sim::{machine_offchip_trace, LifetimeConfig};
 
 fn main() {
     println!("# Fig. 9 — off-chip decodes per cycle, 1000 logical qubits\n");
@@ -16,11 +16,12 @@ fn main() {
     let num_qubits = 1000;
     let window = 100usize;
 
-    // A real multi-qubit trace from the lifetime simulator (scaled-down
-    // qubit count extrapolated to 1000 for tractability at BTWC_SCALE=1).
+    // A real multi-qubit demand trace from the machine simulator behind
+    // a wide-open link (scaled-down qubit count extrapolated to 1000
+    // for tractability at BTWC_SCALE=1).
     let sim_qubits = scaled(100) as usize;
     let cfg = LifetimeConfig::new(d, p).with_cycles(window as u64 + 50).with_seed(0xF1609);
-    let trace = multi_qubit_trace(&cfg, sim_qubits, workers());
+    let trace = machine_offchip_trace(&cfg, sim_qubits, sim_qubits).1;
     let factor = num_qubits as f64 / sim_qubits as f64;
     let demand: Vec<usize> = trace
         .iter()

@@ -43,23 +43,6 @@ pub fn workers() -> usize {
     btwc_pool::Pool::auto().workers()
 }
 
-/// The `sweep_throughput` comparison grid: a mixed-distance `(p, d)`
-/// sweep where cheap d = 3 points sit next to expensive d = 13 ones —
-/// the workload whose per-point barriers the whole-grid pool schedule
-/// removes. Low error rates keep the off-chip matcher out of the
-/// measurement, so the timed quantity is the *schedule* (spawns,
-/// per-worker pipeline constructions, barriers), not decoder work.
-/// Returns `(error_rates, distances)`.
-#[must_use]
-pub fn sweep_throughput_axes() -> (Vec<f64>, Vec<u16>) {
-    (vec![2.5e-5, 5e-5, 1e-4, 2e-4], vec![3, 7, 13])
-}
-
-/// Worker count for the `sweep_throughput` schedule comparison: fixed
-/// (not machine-sized) so both schedules are compared at the same
-/// operational width — the widest pool the determinism tests pin.
-pub const SWEEP_BENCH_WORKERS: usize = 8;
-
 /// The `machine_step` comparison workload: `cycles` machine-wide
 /// rounds for `qubits` logical qubits at distance `d`, under transient
 /// (measurement-style) noise — each ancilla lit independently with

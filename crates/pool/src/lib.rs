@@ -1,23 +1,28 @@
-//! Work-stealing thread pool for the Monte Carlo sweep engines.
+//! Thread pool for the Monte Carlo sweep engines and the decode farm.
 //!
 //! The workspace's simulation hot paths fan out over a `(p, d)` grid:
 //! cheap points (d = 3) finish orders of magnitude before expensive ones
-//! (d ≥ 13), so the previous per-point `std::thread::scope` schedule
-//! left cores idle at every point boundary and re-paid thread spawn and
-//! per-worker decoder construction at each of them. This crate is a
-//! small vendored work-stealing pool (the build environment has no
-//! crates.io access, so rayon is unavailable) that takes the *whole*
-//! task set at once and lets idle workers steal across point
-//! boundaries:
+//! (d ≥ 13), so a per-point `std::thread::scope` schedule leaves cores
+//! idle at every point boundary and re-pays thread spawn and per-worker
+//! decoder construction at each of them; the decode farm submits one
+//! small batch of escalations per machine cycle, where a thread spawn
+//! per call would cost more than the work. This crate is a small
+//! vendored pool (the build environment has no crates.io access, so
+//! rayon is unavailable) that takes a *whole* task set at once:
 //!
-//! * **per-worker LIFO deques** — each worker owns a contiguous block of
-//!   the submitted tasks and pops from the back of its own deque;
-//! * **random stealing** — an empty worker picks a random victim and
-//!   steals the victim's *oldest* task (front of the deque), the one
-//!   farthest from the owner's working set;
-//! * **scoped spawn** — tasks may borrow from the caller's stack
-//!   ([`Pool::scope`] joins every task before returning), and a panic in
-//!   any task aborts the remaining work and resumes on the caller;
+//! * **one FIFO injector queue** — a [`Pool::scope`] / [`Pool::map`]
+//!   call pushes all of its tasks onto one shared queue in submission
+//!   order; whichever worker is free pops the front, so cheap tasks and
+//!   expensive ones balance with no barrier in between;
+//! * **parked workers** — the worker threads are spawned lazily at the
+//!   first threaded run, wait on a condvar while the queue is empty,
+//!   and are joined when the last clone of the pool drops: no thread
+//!   spawn or join per call. A pool with one worker, or a run of at
+//!   most one task, executes inline on the caller and never spawns;
+//! * **a per-batch latch** — the submitting call blocks until every
+//!   task of its batch has finished, so tasks may borrow from the
+//!   caller's stack; a panic in any task abandons the batch's
+//!   still-queued tasks and resumes on the caller;
 //! * **deterministic map/reduce** — [`Pool::map`] returns results in
 //!   submission order and [`Pool::map_reduce`] folds them in shard
 //!   order, so outputs are **bit-identical regardless of worker count**.
@@ -29,14 +34,6 @@
 //! worker count (see [`Pool::new`]) — CI runs the test suite once with
 //! `BTWC_WORKERS=1` to catch any accidental worker-count dependence.
 //!
-//! Two scheduling modes execute the same contract ([`PoolMode`],
-//! default `Persistent`, overridable via `BTWC_POOL_MODE` or pinned
-//! with [`Pool::with_mode`]): **persistent** keeps one set of parked
-//! worker threads alive across calls (a condvar injector queue — no
-//! per-`map` thread spawn, the decode farm's service path), **legacy**
-//! spawns scoped threads per call. Results are bit-identical across
-//! modes and worker counts; only scheduling-domain telemetry differs.
-//!
 //! # Example
 //!
 //! ```
@@ -47,8 +44,7 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-mod deque;
 mod persistent;
 mod pool;
 
-pub use pool::{Pool, PoolMode, Scope, POOL_MODE_ENV, WORKERS_ENV};
+pub use pool::{Pool, Scope, WORKERS_ENV};

@@ -1,23 +1,18 @@
-//! Long-lived parked worker threads backing [`PoolMode::Persistent`].
+//! The long-lived parked worker threads every [`Pool`] runs on.
 //!
-//! The legacy pool spawns OS threads per [`Pool::scope`] call and joins
-//! them before returning. That is correct but pays thread spawn/join on
-//! every `map` — ruinous for service workloads like the decode farm,
-//! which dispatches one small batch of escalations per machine cycle.
-//! This module keeps one set of worker threads alive for the lifetime
-//! of the pool: workers park on a [`Condvar`] next to a shared injector
-//! queue, a batch submission pushes its tasks and wakes them, and the
-//! submitting thread blocks on a per-batch completion latch.
+//! One set of worker threads lives as long as the pool: workers park on
+//! a [`Condvar`] next to a shared injector queue, a batch submission
+//! pushes its tasks and wakes them, and the submitting thread blocks on
+//! a per-batch completion latch. Nothing is spawned or joined per call,
+//! which is what lets the decode farm dispatch one small batch of
+//! escalations per machine cycle.
 //!
-//! The deterministic contract is unchanged: the injector only decides
-//! *where* a task runs, never *what* it computes, and `run_batch`
-//! returns only after every task of the batch has finished — so scoped
-//! borrows stay sound and `map`/`map_reduce` results remain
-//! bit-identical to the legacy per-call-spawn schedule for any worker
-//! count.
+//! The injector only decides *where* a task runs, never *what* it
+//! computes, and `run_batch` returns only after every task of the batch
+//! has finished — so scoped borrows stay sound and `map`/`map_reduce`
+//! results are bit-identical for any worker count.
 //!
-//! [`PoolMode::Persistent`]: crate::PoolMode
-//! [`Pool::scope`]: crate::Pool::scope
+//! [`Pool`]: crate::Pool
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -43,8 +38,7 @@ struct BatchState {
     done: Condvar,
     /// First panic payload observed in this batch, if any.
     first_panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Once set, the batch's still-queued tasks are abandoned (matching
-    /// the legacy pool's panic semantics).
+    /// Once set, the batch's still-queued tasks are abandoned.
     abort: AtomicBool,
 }
 
@@ -122,8 +116,7 @@ impl PersistentWorkers {
     /// Blocks until every task has executed (or been abandoned after a
     /// panic); returns the first panic payload, if any, for the caller
     /// to resume. The submitting thread does not execute tasks itself —
-    /// tasks must not submit to the same pool (same constraint as the
-    /// legacy scheduler, where it would deadlock the worker instead).
+    /// tasks must not submit to the same pool.
     pub(crate) fn run_batch<'env>(
         &self,
         tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,

@@ -1,13 +1,10 @@
-//! The work-stealing pool and its scoped-spawn surface.
+//! The pool and its scoped-spawn surface.
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::panic::resume_unwind;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use btwc_telemetry::{Counter, CounterFamily, Domain, MetricsRegistry};
 
-use crate::deque::TaskDeque;
 use crate::persistent::PersistentWorkers;
 
 /// One unit of work scheduled onto the pool. Tasks may borrow from the
@@ -26,71 +23,32 @@ fn env_workers() -> Option<usize> {
     std::env::var(WORKERS_ENV).ok()?.parse::<usize>().ok().filter(|&w| w > 0)
 }
 
-/// Environment variable overriding the default worker scheduling mode
-/// (`legacy` or `persistent`); explicit [`Pool::with_mode`] calls still
-/// win, so tests pinning a mode stay pinned.
-pub const POOL_MODE_ENV: &str = "BTWC_POOL_MODE";
-
-fn env_mode() -> Option<PoolMode> {
-    match std::env::var(POOL_MODE_ENV).ok()?.as_str() {
-        "legacy" => Some(PoolMode::Legacy),
-        "persistent" => Some(PoolMode::Persistent),
-        _ => None,
-    }
-}
-
-/// How a [`Pool`] turns a task set into running threads.
+/// A thread pool over scoped tasks.
 ///
-/// Both modes honour the same contract — `map` results in submission
-/// order, `map_reduce` folded in shard order, first panic resumed on
-/// the caller — so switching modes is a pure scheduling change and
-/// every result is bit-identical across them (pinned by the
-/// determinism suites).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Spawn worker threads per [`Pool::scope`] / [`Pool::map`] call
-    /// via `std::thread::scope` and join them before returning. Best
-    /// when a pool runs one huge task set (a whole sweep grid).
-    Legacy,
-    /// Long-lived workers parked on a condvar next to a shared injector
-    /// queue, spawned lazily at the first threaded run and joined when
-    /// the last pool clone drops. Removes per-call thread spawn/join —
-    /// the win for service workloads submitting many small batches
-    /// (the decode farm's per-cycle dispatch).
-    Persistent,
-}
-
-/// A work-stealing thread pool over scoped tasks.
-///
-/// The pool is a scheduling *policy* with two execution modes
-/// ([`PoolMode`]): `Persistent` (the default) keeps one set of parked
-/// worker threads alive across calls, `Legacy` spawns threads per
-/// [`Pool::scope`] / [`Pool::map`] call via `std::thread::scope`.
-/// Either way every task is joined before the submitting call returns
-/// (so tasks may borrow), and submitting the whole workload of a sweep
-/// as one task set is what keeps every core busy — stealing (legacy)
-/// or the shared injector (persistent) balances cheap tasks against
-/// expensive ones with no barrier in between.
+/// One set of worker threads, spawned lazily at the first threaded run
+/// and joined when the last pool clone drops, parks next to a shared
+/// FIFO injector queue; a [`Pool::scope`] / [`Pool::map`] call pushes
+/// its whole task set and blocks until every task has finished (so
+/// tasks may borrow). Submitting the whole workload of a sweep as one
+/// task set is what keeps every core busy — the shared queue balances
+/// cheap tasks against expensive ones with no barrier in between.
 #[derive(Debug, Clone)]
 pub struct Pool {
     workers: usize,
-    mode: PoolMode,
     telemetry: Option<PoolTelemetry>,
-    /// Lazily-spawned persistent workers, shared across pool clones
-    /// (clones schedule onto the same threads). Never touched in
-    /// legacy mode.
+    /// Lazily-spawned parked workers, shared across pool clones
+    /// (clones schedule onto the same threads).
     persistent: Arc<OnceLock<PersistentWorkers>>,
 }
 
-/// Scheduling-domain metric handles recorded by the worker loop. All of
-/// these depend on thread timing (who steals what), so they live in
-/// [`Domain::Scheduling`] and are excluded from determinism snapshots.
+/// Scheduling-domain metric handles recorded around each task. All of
+/// these depend on thread timing (which worker pops what), so they live
+/// in [`Domain::Scheduling`] and are excluded from determinism
+/// snapshots.
 #[derive(Debug, Clone)]
 struct PoolTelemetry {
-    /// Tasks a worker popped from its own deque.
+    /// Tasks a worker thread popped from the injector queue.
     tasks_local: Counter,
-    /// Tasks a worker stole from a victim's deque.
-    tasks_stolen: Counter,
     /// Tasks executed inline on the caller (single-worker or tiny runs).
     tasks_inline: Counter,
     /// Tasks executed per worker index — the per-shard imbalance view.
@@ -109,7 +67,6 @@ impl Pool {
         assert!(workers > 0, "need at least one worker");
         Self {
             workers: env_workers().unwrap_or(workers),
-            mode: env_mode().unwrap_or(PoolMode::Persistent),
             telemetry: None,
             persistent: Arc::new(OnceLock::new()),
         }
@@ -117,7 +74,7 @@ impl Pool {
 
     /// A pool sized to the machine: [`WORKERS_ENV`] if set, otherwise
     /// the available parallelism (capped at 16 — the sweep engines'
-    /// shards are coarse enough that wider pools only add steal
+    /// shards are coarse enough that wider pools only add queue
     /// traffic).
     #[must_use]
     pub fn auto() -> Self {
@@ -127,7 +84,6 @@ impl Pool {
             .min(16);
         Self {
             workers: env_workers().unwrap_or(fallback),
-            mode: env_mode().unwrap_or(PoolMode::Persistent),
             telemetry: None,
             persistent: Arc::new(OnceLock::new()),
         }
@@ -139,23 +95,8 @@ impl Pool {
         self.workers
     }
 
-    /// The scheduling mode this pool executes with.
-    #[must_use]
-    pub fn mode(&self) -> PoolMode {
-        self.mode
-    }
-
-    /// Pins the scheduling mode, overriding the [`POOL_MODE_ENV`]
-    /// default. Call before the pool's first threaded run — once the
-    /// persistent workers have spawned, clones share them regardless.
-    #[must_use]
-    pub fn with_mode(mut self, mode: PoolMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Attach a metrics registry: the pool records tasks executed
-    /// locally vs. stolen vs. inline, plus a per-worker task-count
+    /// Attach a metrics registry: the pool records tasks executed on
+    /// its worker threads vs. inline on the caller, plus a per-worker task-count
     /// family (`pool.worker_tasks`) exposing shard imbalance. All pool
     /// metrics are scheduling-domain — real but not reproducible across
     /// runs. Call before sharing the pool (e.g. before wrapping in
@@ -163,7 +104,6 @@ impl Pool {
     pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
         self.telemetry = Some(PoolTelemetry {
             tasks_local: registry.counter("pool.tasks_local", Domain::Scheduling),
-            tasks_stolen: registry.counter("pool.tasks_stolen", Domain::Scheduling),
             tasks_inline: registry.counter("pool.tasks_inline", Domain::Scheduling),
             worker_tasks: registry.counter_family(
                 "pool.worker_tasks",
@@ -180,8 +120,7 @@ impl Pool {
         self
     }
 
-    /// Collects tasks from `build`, then runs them all to completion
-    /// with work stealing.
+    /// Collects tasks from `build`, then runs them all to completion.
     ///
     /// Tasks may borrow anything alive across the `scope` call (the
     /// pool joins them before returning). Execution order is
@@ -256,14 +195,14 @@ impl Pool {
         self.map_indices(shards, f).into_iter().fold(init, merge)
     }
 
-    /// Executes a task set in the pool's scheduling mode.
+    /// Executes a task set: inline when one worker suffices, otherwise
+    /// on the long-lived parked workers (spawned on first use).
     fn run(&self, tasks: Vec<Task<'_>>) {
         let n = tasks.len();
         if n == 0 {
             return;
         }
-        let workers = self.workers.min(n);
-        if workers == 1 {
+        if self.workers.min(n) == 1 {
             if let Some(t) = &self.telemetry {
                 t.tasks_inline.add(n as u64);
             }
@@ -272,15 +211,6 @@ impl Pool {
             }
             return;
         }
-        match self.mode {
-            PoolMode::Persistent => self.run_persistent(tasks),
-            PoolMode::Legacy => self.run_legacy(tasks, workers),
-        }
-    }
-
-    /// Executes a task set on the long-lived parked workers, spawning
-    /// them on first use.
-    fn run_persistent(&self, tasks: Vec<Task<'_>>) {
         let workers = self.persistent.get_or_init(|| PersistentWorkers::spawn(self.workers));
         let tasks: Vec<Task<'_>> = match &self.telemetry {
             None => tasks,
@@ -289,10 +219,9 @@ impl Pool {
                 .map(|task| {
                     let t = t.clone();
                     let wrapped: Task<'_> = Box::new(move || {
-                        // Injector pops count as "local" (there is no
-                        // stealing in persistent mode — one shared
-                        // queue); the per-worker family still exposes
-                        // imbalance via the executing thread's index.
+                        // Every injector pop counts as "local"; the
+                        // per-worker family exposes imbalance via the
+                        // executing thread's index.
                         t.tasks_local.inc();
                         if let Some(w) = crate::persistent::current_worker_index() {
                             t.worker_tasks.inc(w);
@@ -307,102 +236,12 @@ impl Pool {
             resume_unwind(payload);
         }
     }
-
-    /// Executes a task set with per-call spawned threads, per-worker
-    /// LIFO deques, and random stealing.
-    fn run_legacy(&self, tasks: Vec<Task<'_>>, workers: usize) {
-        let n = tasks.len();
-        // Block distribution: worker w starts owning the contiguous
-        // index run [w·n/W, (w+1)·n/W) — neighbouring tasks (same grid
-        // point, consecutive shards) start on the same worker, and a
-        // thief stealing from the front of a victim peels off the start
-        // of an untouched run.
-        let mut blocks: Vec<Vec<Task<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            blocks[i * workers / n].push(task);
-        }
-        let deques: Vec<TaskDeque<Task<'_>>> = blocks.into_iter().map(TaskDeque::preload).collect();
-        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let deques = &deques;
-                let first_panic = &first_panic;
-                let abort = &abort;
-                let telemetry = self.telemetry.as_ref();
-                s.spawn(move || {
-                    let mut rng = splitmix64(w as u64);
-                    // det: abort only matters on the panic path, which
-                    // aborts the whole run — no result depends on which
-                    // cycle a worker observes the flag.
-                    while !abort.load(Ordering::Relaxed) {
-                        let task = match deques[w].pop() {
-                            Some(task) => {
-                                if let Some(t) = telemetry {
-                                    t.tasks_local.inc();
-                                    t.worker_tasks.inc(w);
-                                }
-                                task
-                            }
-                            None => match steal(deques, w, &mut rng) {
-                                Some(task) => {
-                                    if let Some(t) = telemetry {
-                                        t.tasks_stolen.inc();
-                                        t.worker_tasks.inc(w);
-                                    }
-                                    task
-                                }
-                                // Every deque was empty: tasks never
-                                // spawn new tasks mid-run, so no more
-                                // work will appear.
-                                None => break,
-                            },
-                        };
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                            let mut first =
-                                first_panic.lock().unwrap_or_else(PoisonError::into_inner);
-                            first.get_or_insert(payload);
-                            // det: sets a sticky flag on the
-                            // propagate-panic path; the run produces no
-                            // result, so ordering cannot reach one.
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(payload) = first_panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// One steal attempt round: scan every other worker starting from a
-/// random victim, taking the first available front task.
-fn steal<'env>(
-    deques: &[TaskDeque<Task<'env>>],
-    thief: usize,
-    rng: &mut u64,
-) -> Option<Task<'env>> {
-    let n = deques.len();
-    *rng = splitmix64(*rng);
-    let start = (*rng % n as u64) as usize;
-    for k in 0..n {
-        let victim = (start + k) % n;
-        if victim != thief {
-            if let Some(task) = deques[victim].steal() {
-                return Some(task);
-            }
-        }
-    }
-    None
 }
 
 /// Collects tasks for one [`Pool::scope`] run.
 ///
 /// Spawns are *deferred*: tasks queue here while the build closure
-/// runs and start executing (with stealing) once it returns. Tasks may
+/// runs and start executing once it returns. Tasks may
 /// borrow anything outliving the `scope` call; they cannot themselves
 /// spawn further tasks.
 pub struct Scope<'env> {
@@ -426,15 +265,6 @@ impl std::fmt::Debug for Scope<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scope").field("tasks", &self.tasks.len()).finish()
     }
-}
-
-/// SplitMix64 finalizer — drives victim selection; scheduling-only, so
-/// its quality never affects results.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -481,7 +311,7 @@ mod tests {
 
     #[test]
     fn oversubscribed_pool_completes() {
-        // More workers than tasks: the pool clamps to the task count.
+        // More workers than tasks: the surplus workers stay parked.
         let pool = Pool::new(16);
         let out = pool.map_indices(3, |i| i * i);
         assert_eq!(out, vec![0, 1, 4]);
@@ -494,19 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn persistent_matches_legacy_results() {
-        // Same task set, both scheduling modes: identical outputs.
-        let items: Vec<u64> = (0..257).collect();
-        let legacy = Pool::new(4).with_mode(PoolMode::Legacy);
-        let persistent = Pool::new(4).with_mode(PoolMode::Persistent);
-        let f = |i: usize, x: &u64| x.wrapping_mul(0x9E37) ^ i as u64;
-        assert_eq!(legacy.map(&items, f), persistent.map(&items, f));
-    }
-
-    #[test]
     fn persistent_workers_survive_many_batches() {
-        // The whole point of persistent mode: one spawn, many runs.
-        let pool = Pool::new(4).with_mode(PoolMode::Persistent);
+        // The whole point of parked workers: one spawn, many runs.
+        let pool = Pool::new(4);
         for round in 0..100u64 {
             let out = pool.map_indices(8, |i| round * 8 + i as u64);
             assert_eq!(out, (round * 8..round * 8 + 8).collect::<Vec<u64>>());
@@ -515,7 +335,7 @@ mod tests {
 
     #[test]
     fn persistent_clones_share_workers() {
-        let pool = Pool::new(4).with_mode(PoolMode::Persistent);
+        let pool = Pool::new(4);
         let warm = pool.map_indices(16, |i| i);
         assert_eq!(warm.len(), 16);
         let clone = pool.clone();
@@ -525,8 +345,8 @@ mod tests {
 
     #[test]
     fn persistent_panic_propagates_payload() {
-        let pool = Pool::new(4).with_mode(PoolMode::Persistent);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let pool = Pool::new(4);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.map_indices(32, |i| {
                 if i == 13 {
                     panic!("persistent task 13 failed");
@@ -543,66 +363,41 @@ mod tests {
 
     #[test]
     fn persistent_scope_tasks_borrow_caller_state() {
-        // The lifetime-erasure safety argument in practice: tasks
-        // borrow the caller's stack and the latch joins them before
+        // The lifetime-erasure safety argument in practice: already
+        // parked workers run tasks borrowing a stack frame that is gone
+        // by the next batch, and the latch joins them before each
         // `scope` returns.
-        let pool = Pool::new(4).with_mode(PoolMode::Persistent);
-        let totals = Mutex::new(vec![0u64; 8]);
-        pool.scope(|s| {
-            for i in 0..8 {
-                let totals = &totals;
-                s.spawn(move || totals.lock().expect("totals")[i] += i as u64);
-            }
-        });
-        assert_eq!(totals.into_inner().expect("totals"), (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn mode_env_parses() {
-        assert_eq!(Pool::new(4).with_mode(PoolMode::Legacy).mode(), PoolMode::Legacy);
-        assert_eq!(Pool::new(4).mode(), PoolMode::Persistent);
-    }
-
-    #[test]
-    fn telemetry_accounts_for_every_task_persistent() {
-        // Persistent mode counts every injector pop as "local"; the
-        // per-worker family must still sum to the threaded share.
-        let registry = MetricsRegistry::new();
-        let pool = Pool::new(4).with_mode(PoolMode::Persistent).with_telemetry(&registry);
-        let n = 64u64;
-        let out = pool.map_indices(n as usize, |i| i as u64);
-        assert_eq!(out.iter().sum::<u64>(), n * (n - 1) / 2);
-        let snap = registry.snapshot();
-        let local = snap.get_counter("pool.tasks_local").unwrap();
-        let stolen = snap.get_counter("pool.tasks_stolen").unwrap();
-        let inline = snap.get_counter("pool.tasks_inline").unwrap();
-        assert_eq!(local + stolen + inline, n);
-        match snap.get("pool.worker_tasks").unwrap() {
-            btwc_telemetry::MetricValue::Values(per_worker) => {
-                assert_eq!(per_worker.iter().sum::<u64>(), local + stolen);
-            }
-            other => panic!("unexpected metric value {other:?}"),
+        let pool = Pool::new(4);
+        for round in 0..3u64 {
+            let totals = Mutex::new(vec![0u64; 8]);
+            pool.scope(|s| {
+                for i in 0..8 {
+                    let totals = &totals;
+                    s.spawn(move || totals.lock().expect("totals")[i] += round + i as u64);
+                }
+            });
+            let expected: Vec<u64> = (0..8).map(|i| round + i).collect();
+            assert_eq!(totals.into_inner().expect("totals"), expected);
         }
     }
 
     #[test]
-    fn telemetry_accounts_for_every_task() {
-        // The local/stolen/inline split is scheduling-dependent, but the
-        // total must equal the number of tasks executed, and the
-        // per-worker family must sum to the threaded (non-inline) share.
+    fn telemetry_accounts_for_every_task_persistent() {
+        // Every injector pop counts as "local"; with the inline share
+        // that is every task, and the per-worker family must sum to the
+        // threaded share.
         let registry = MetricsRegistry::new();
-        let pool = Pool::new(4).with_mode(PoolMode::Legacy).with_telemetry(&registry);
+        let pool = Pool::new(4).with_telemetry(&registry);
         let n = 64u64;
         let out = pool.map_indices(n as usize, |i| i as u64);
         assert_eq!(out.iter().sum::<u64>(), n * (n - 1) / 2);
         let snap = registry.snapshot();
         let local = snap.get_counter("pool.tasks_local").unwrap();
-        let stolen = snap.get_counter("pool.tasks_stolen").unwrap();
         let inline = snap.get_counter("pool.tasks_inline").unwrap();
-        assert_eq!(local + stolen + inline, n);
+        assert_eq!(local + inline, n);
         match snap.get("pool.worker_tasks").unwrap() {
             btwc_telemetry::MetricValue::Values(per_worker) => {
-                assert_eq!(per_worker.iter().sum::<u64>(), local + stolen);
+                assert_eq!(per_worker.iter().sum::<u64>(), local);
             }
             other => panic!("unexpected metric value {other:?}"),
         }

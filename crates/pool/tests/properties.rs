@@ -104,10 +104,10 @@ fn panic_aborts_remaining_tasks() {
 }
 
 #[test]
-fn stealing_covers_unbalanced_blocks() {
+fn one_slow_task_does_not_block_the_queue() {
     // One task (the first) is vastly heavier than the rest; the
-    // remaining tasks must still all complete (stolen by idle workers)
-    // and land in their own slots.
+    // remaining tasks must still all complete (popped by the other
+    // workers while the first is busy) and land in their own slots.
     let pool = Pool::new(8);
     let out = pool.map_indices(64, |i| {
         if i == 0 {

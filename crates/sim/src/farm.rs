@@ -7,7 +7,7 @@
 //! [`DecodeFarm`] instead of each machine decoding inline. The driver
 //! is lockstep — one [`DecodeFarm::service_cycle`] per machine cycle —
 //! so the whole fleet run is deterministic in the tenant configs for
-//! any `BTWC_WORKERS` and either pool mode.
+//! any `BTWC_WORKERS`.
 //!
 //! Each tenant keeps the exact per-qubit RNG fork schedule of the
 //! single-machine driver (forked from *its own* `cfg.seed` by qubit
@@ -17,17 +17,13 @@
 //! of the same config — the service-conformance pin in
 //! `tests/farm_conformance.rs`.
 
-use btwc_core::{
-    BtwcMachine, LinkFaultModel, MachineStats, StabilizerType, SurfaceCode, TransportStats,
-};
+use btwc_core::{LinkFaultModel, MachineStats, TransportStats};
 use btwc_farm::{DecodeFarm, FarmConfig, SnapshotExport, TenantSubmission};
-use btwc_noise::{SimRng, SparseFlips};
 use btwc_pool::Pool;
-use btwc_syndrome::{PackedBits, SyndromeBatch};
 use btwc_telemetry::{Domain, MetricsRegistry};
 
 use crate::lifetime::LifetimeConfig;
-use crate::tracker::ErrorTracker;
+use crate::machine::{TenantState, TraceRun, TY};
 
 /// One machine of a [`machine_farm_trace`] fleet.
 #[derive(Debug, Clone)]
@@ -97,23 +93,6 @@ pub struct FarmRun {
     pub final_queue_depth: u64,
 }
 
-/// Per-tenant driver state for the lockstep loop.
-struct TenantState {
-    machine: BtwcMachine,
-    code: SurfaceCode,
-    rngs: Vec<SimRng>,
-    trackers: Vec<ErrorTracker>,
-    batch: SyndromeBatch,
-    round: PackedBits,
-    trace: Vec<usize>,
-    registry: MetricsRegistry,
-    num_qubits: usize,
-    n_data: usize,
-    n_anc: usize,
-    p: f64,
-    pm: f64,
-}
-
 /// Drives `tenants.len()` machines in lockstep through one shared
 /// [`DecodeFarm`] on `pool` for `tenants[0].cfg.cycles` cycles.
 ///
@@ -137,74 +116,43 @@ pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool
         "lockstep fleet: every tenant must run the same cycle count"
     );
 
-    let ty = StabilizerType::X;
     let mut farm = DecodeFarm::new(pool, config);
-    let mut states: Vec<TenantState> = Vec::with_capacity(tenants.len());
-    for tenant in tenants {
-        let cfg = &tenant.cfg;
-        let code = SurfaceCode::new(cfg.distance);
-        let n_anc = code.num_ancillas(ty);
-        let n_data = code.num_data_qubits();
-        let registry = MetricsRegistry::new();
-        let mut builder = BtwcMachine::builder(&code, ty, tenant.num_qubits, tenant.bandwidth)
-            .clique_rounds(cfg.clique_rounds)
-            .backend(cfg.backend)
-            .telemetry(&registry);
-        if let Some((model, link_seed)) = tenant.fault {
-            builder = builder.fault_model(model).link_seed(link_seed);
-        }
-        let machine = builder.build();
-        // Same decode-window sizing as the machine's own wire
-        // scratch (MachineBuilder default); the farm widens on
-        // demand if a request ever carries more rounds.
-        let window_rounds = usize::from(code.distance()).max(4) * 4;
-        farm.register_tenant(
-            &format!("tenant-{}", farm.num_tenants()),
-            &code,
-            ty,
-            &cfg.backend,
-            window_rounds,
-            &registry,
-        );
-        let root = SimRng::from_seed(cfg.seed);
-        let rngs = (0..tenant.num_qubits)
-            .map(|q| SimRng::from_seed(root.fork(crate::shard::QUBIT_STREAM + q as u64).seed()))
-            .collect();
-        let trackers = (0..tenant.num_qubits).map(|_| ErrorTracker::new(&code, ty)).collect();
-        states.push(TenantState {
-            machine,
-            rngs,
-            trackers,
-            batch: SyndromeBatch::new(tenant.num_qubits, n_anc),
-            round: PackedBits::new(n_anc),
-            trace: Vec::with_capacity(cycles as usize),
-            registry,
-            num_qubits: tenant.num_qubits,
-            n_data,
-            n_anc,
-            p: cfg.physical_error_rate,
-            pm: cfg.measurement_error_rate,
-            code,
-        });
-    }
+    // Each tenant's driver state beside the registry its machine
+    // reports into (the farm merges these into the aggregate).
+    let mut states: Vec<(TenantState, MetricsRegistry)> = tenants
+        .iter()
+        .map(|tenant| {
+            let registry = MetricsRegistry::new();
+            let st = TenantState::new(
+                &tenant.cfg,
+                tenant.num_qubits,
+                tenant.bandwidth,
+                Some(&registry),
+                tenant.fault,
+            );
+            // Same decode-window sizing as the machine's own wire
+            // scratch (MachineBuilder default); the farm widens on
+            // demand if a request ever carries more rounds.
+            let window_rounds = usize::from(tenant.cfg.distance).max(4) * 4;
+            farm.register_tenant(
+                &format!("tenant-{}", farm.num_tenants()),
+                &st.code,
+                TY,
+                &tenant.cfg.backend,
+                window_rounds,
+                &registry,
+            );
+            (st, registry)
+        })
+        .collect();
 
     for _ in 0..cycles {
         // Phase 1: every tenant samples noise and runs its cycle up to
         // (not including) the off-chip decodes.
         let pendings: Vec<_> = states
             .iter_mut()
-            .map(|st| {
-                for q in 0..st.num_qubits {
-                    let rng = &mut st.rngs[q];
-                    for flip in SparseFlips::new(rng, st.n_data, st.p) {
-                        st.trackers[q].flip(flip);
-                    }
-                    st.round.copy_from(st.trackers[q].syndrome());
-                    for a in SparseFlips::new(rng, st.n_anc, st.pm) {
-                        st.round.toggle(a);
-                    }
-                    st.batch.set_qubit_round(q, &st.round);
-                }
+            .map(|(st, _)| {
+                st.sample();
                 st.machine.step_deferred(&st.batch)
             })
             .collect();
@@ -222,14 +170,9 @@ pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool
         drop(submissions);
 
         // Phase 3: fold responses back and close each tenant's loop.
-        for ((st, pending), resp) in states.iter_mut().zip(pendings).zip(responses) {
+        for (((st, _), pending), resp) in states.iter_mut().zip(pendings).zip(responses) {
             let cycle = st.machine.complete(pending, resp);
-            for (tracker, out) in st.trackers.iter_mut().zip(&cycle.outcomes) {
-                if let Some(c) = out.correction() {
-                    tracker.apply(c.qubits());
-                }
-            }
-            st.trace.push(cycle.offchip_requests);
+            st.apply(&cycle);
         }
     }
 
@@ -238,28 +181,23 @@ pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool
     let exports = farm.take_exports();
     let tenants_out = states
         .into_iter()
-        .map(|st| {
-            let residual_syndrome_weight =
-                st.trackers.iter().map(|t| t.syndrome_weight() as u64).sum::<u64>();
-            let logical_errors =
-                st.trackers.iter().filter(|t| st.code.is_logical_error(ty, t.errors())).count()
-                    as u64;
+        .map(|(st, registry)| {
+            let TraceRun { stats, transport, trace, residual_syndrome_weight, logical_errors } =
+                st.finish();
+            // The tenant's own cycle-domain view. Restricted to
+            // `machine.*` because the registry also carries the
+            // machine's (unused-in-farm-mode) private decoder
+            // registrations — the conformance pin compares the
+            // machine namespace against the inline driver.
+            let mut snap = registry.snapshot_domains(&[Domain::Cycles]);
+            snap.retain_prefix("machine.");
             FarmTenantRun {
-                stats: st.machine.stats(),
-                transport: st.machine.transport_stats(),
-                trace: st.trace,
+                stats,
+                transport,
+                trace,
                 residual_syndrome_weight,
                 logical_errors,
-                telemetry_json: {
-                    // The tenant's own cycle-domain view. Restricted to
-                    // `machine.*` because the registry also carries the
-                    // machine's (unused-in-farm-mode) private decoder
-                    // registrations — the conformance pin compares the
-                    // machine namespace against the inline driver.
-                    let mut snap = st.registry.snapshot_domains(&[Domain::Cycles]);
-                    snap.retain_prefix("machine.");
-                    snap.to_json()
-                },
+                telemetry_json: snap.to_json(),
             }
         })
         .collect();

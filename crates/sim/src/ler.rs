@@ -237,8 +237,8 @@ pub fn logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstimate {
 }
 
 /// [`logical_error_rate`] over `cfg`'s fixed shard plan on a
-/// `workers`-wide work-stealing pool. The estimate is bit-identical for
-/// any worker count (see [`shard_plan`]).
+/// `workers`-wide pool. The estimate is bit-identical for any worker
+/// count (see [`shard_plan`]).
 ///
 /// # Panics
 ///

@@ -16,17 +16,17 @@
 //!   failures (Fig. 14).
 //!
 //! Multi-qubit off-chip demand traces for the bandwidth study (Figs. 9
-//! and 16) come from [`multi_qubit_trace`] / [`offchip_probability`].
+//! and 16) come from [`machine_offchip_trace`] / [`offchip_probability`].
 //!
 //! Everything is deterministic given a seed. Parallel execution runs on
-//! the workspace's work-stealing pool ([`Pool`], re-exported here):
-//! work is split into *fixed* shards with RNG streams forked by shard
+//! the workspace's thread pool ([`Pool`], re-exported here): work is
+//! split into *fixed* shards with RNG streams forked by shard
 //! index and merged in shard order, so every result — [`LifetimeStats`],
 //! [`LerEstimate`], sweep points — is **bit-identical regardless of the
 //! worker count** (override it globally with `BTWC_WORKERS`). The grid
 //! sweeps ([`coverage_sweep`], [`coverage_sweep_iid`]) submit all
-//! `(p, d) × shard` tasks to one pool at once, so stealing balances
-//! cheap low-distance points against expensive high-distance ones
+//! `(p, d) × shard` tasks to one pool at once, so its shared queue
+//! balances cheap low-distance points against expensive high-distance ones
 //! instead of barriering per point; each point's seed is forked from
 //! its grid position ([`grid_point_seed`]), decorrelating points while
 //! keeping every one individually reproducible. Both engines pick
@@ -74,7 +74,7 @@ pub use machine::{
     machine_fault_sweep, machine_fault_trace, machine_offchip_trace,
     machine_offchip_trace_telemetry, FaultSweepPoint,
 };
-pub use multi::{multi_qubit_trace, offchip_probability};
+pub use multi::offchip_probability;
 pub use sweep::{
     afs_comparison, coverage_sweep, coverage_sweep_iid, grid_point_seed, signature_distribution,
     signature_distribution_iid, AfsComparison, CoveragePoint, SignatureDistribution,

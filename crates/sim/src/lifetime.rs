@@ -12,9 +12,9 @@ use crate::tracker::ErrorTracker;
 
 /// Cycles per deterministic work shard. Small enough that a sweep over
 /// a mixed-distance grid yields many more shards than workers (so
-/// stealing can balance cheap d = 3 shards against expensive d ≥ 13
-/// ones), large enough that per-shard pipeline construction stays in
-/// the noise.
+/// the pool's queue can balance cheap d = 3 shards against expensive
+/// d ≥ 13 ones), large enough that per-shard pipeline construction
+/// stays in the noise.
 pub(crate) const SHARD_CYCLES: u64 = 8_192;
 
 /// Splits `cfg` into its fixed shard plan: shard count and sizes depend
@@ -351,9 +351,9 @@ impl LifetimeSim {
         (self.stats, trace)
     }
 
-    /// Runs `cfg` on a `workers`-wide work-stealing pool and merges the
-    /// statistics — shorthand for [`LifetimeSim::run_pooled`] on a
-    /// freshly sized [`Pool`].
+    /// Runs `cfg` on a `workers`-wide pool and merges the statistics —
+    /// shorthand for [`LifetimeSim::run_pooled`] on a freshly sized
+    /// [`Pool`].
     ///
     /// # Panics
     ///

@@ -19,7 +19,8 @@
 //! (pinned by this module's tests).
 
 use btwc_core::{
-    BtwcMachine, LinkFaultModel, MachineStats, StabilizerType, SurfaceCode, TransportStats,
+    BtwcMachine, LinkFaultModel, MachineCycle, MachineStats, StabilizerType, SurfaceCode,
+    TransportStats,
 };
 use btwc_noise::{SimRng, SparseFlips};
 use btwc_syndrome::{PackedBits, SyndromeBatch};
@@ -27,6 +28,9 @@ use btwc_telemetry::MetricsRegistry;
 
 use crate::lifetime::LifetimeConfig;
 use crate::tracker::ErrorTracker;
+
+/// The stabilizer type every trace driver decodes.
+pub(crate) const TY: StabilizerType = StabilizerType::X;
 
 /// Simulates `num_qubits` logical qubits behind one link of
 /// `bandwidth` decodes/cycle for `cfg.cycles` cycles and returns the
@@ -150,12 +154,116 @@ pub fn machine_fault_sweep(
 }
 
 /// Everything one closed-loop machine run produced.
-struct TraceRun {
-    stats: MachineStats,
-    transport: TransportStats,
+pub(crate) struct TraceRun {
+    pub(crate) stats: MachineStats,
+    pub(crate) transport: TransportStats,
+    pub(crate) trace: Vec<usize>,
+    pub(crate) residual_syndrome_weight: u64,
+    pub(crate) logical_errors: u64,
+}
+
+/// One machine's closed-loop driver state — the per-tenant half of
+/// every trace driver in this crate (the inline loop below owns one,
+/// [`crate::machine_farm_trace`] one per tenant). A cycle is
+/// [`TenantState::sample`], a decode of `batch` on `machine` (inline
+/// `step`, or `step_deferred` → farm → `complete`), then
+/// [`TenantState::apply`].
+pub(crate) struct TenantState {
+    pub(crate) machine: BtwcMachine,
+    pub(crate) batch: SyndromeBatch,
+    pub(crate) code: SurfaceCode,
+    rngs: Vec<SimRng>,
+    trackers: Vec<ErrorTracker>,
+    round: PackedBits,
     trace: Vec<usize>,
-    residual_syndrome_weight: u64,
-    logical_errors: u64,
+    p: f64,
+    pm: f64,
+}
+
+impl TenantState {
+    /// Builds the machine for `cfg` with one error tracker and one RNG
+    /// stream per qubit, forked from `cfg.seed` by qubit index: the
+    /// identical schedule the pooled per-qubit implementation used, so
+    /// traces are reproducible and qubit-count-stable.
+    pub(crate) fn new(
+        cfg: &LifetimeConfig,
+        num_qubits: usize,
+        bandwidth: usize,
+        registry: Option<&MetricsRegistry>,
+        fault: Option<(LinkFaultModel, u64)>,
+    ) -> Self {
+        let code = SurfaceCode::new(cfg.distance);
+        let n_anc = code.num_ancillas(TY);
+        let mut builder = BtwcMachine::builder(&code, TY, num_qubits, bandwidth)
+            .clique_rounds(cfg.clique_rounds)
+            .backend(cfg.backend);
+        if let Some(registry) = registry {
+            builder = builder.telemetry(registry);
+        }
+        if let Some((model, link_seed)) = fault {
+            builder = builder.fault_model(model).link_seed(link_seed);
+        }
+        let root = SimRng::from_seed(cfg.seed);
+        Self {
+            machine: builder.build(),
+            batch: SyndromeBatch::new(num_qubits, n_anc),
+            rngs: (0..num_qubits)
+                .map(|q| SimRng::from_seed(root.fork(crate::shard::QUBIT_STREAM + q as u64).seed()))
+                .collect(),
+            trackers: (0..num_qubits).map(|_| ErrorTracker::new(&code, TY)).collect(),
+            round: PackedBits::new(n_anc),
+            trace: Vec::with_capacity(cfg.cycles as usize),
+            p: cfg.physical_error_rate,
+            pm: cfg.measurement_error_rate,
+            code,
+        }
+    }
+
+    /// Samples one cycle of data and measurement noise per qubit and
+    /// packs the resulting raw rounds into `batch`.
+    pub(crate) fn sample(&mut self) {
+        let n_data = self.code.num_data_qubits();
+        for (q, (rng, tracker)) in self.rngs.iter_mut().zip(&mut self.trackers).enumerate() {
+            for flip in SparseFlips::new(rng, n_data, self.p) {
+                tracker.flip(flip);
+            }
+            self.round.copy_from(tracker.syndrome());
+            for a in SparseFlips::new(rng, self.round.len(), self.pm) {
+                self.round.toggle(a);
+            }
+            self.batch.set_qubit_round(q, &self.round);
+        }
+    }
+
+    /// Lands a decoded cycle's corrections on the error trackers and
+    /// records its off-chip demand.
+    pub(crate) fn apply(&mut self, cycle: &MachineCycle) {
+        for (tracker, out) in self.trackers.iter_mut().zip(&cycle.outcomes) {
+            if let Some(c) = out.correction() {
+                tracker.apply(c.qubits());
+            }
+        }
+        self.trace.push(cycle.offchip_requests);
+    }
+
+    /// Ends the run: machine aggregates plus the residual error state.
+    pub(crate) fn finish(self) -> TraceRun {
+        TraceRun {
+            stats: self.machine.stats(),
+            transport: self.machine.transport_stats(),
+            trace: self.trace,
+            residual_syndrome_weight: self
+                .trackers
+                .iter()
+                .map(|t| t.syndrome_weight() as u64)
+                .sum(),
+            logical_errors: self
+                .trackers
+                .iter()
+                .filter(|t| self.code.is_logical_error(TY, t.errors()))
+                .count() as u64,
+        }
+    }
 }
 
 fn machine_trace_impl(
@@ -165,64 +273,13 @@ fn machine_trace_impl(
     registry: Option<&MetricsRegistry>,
     fault: Option<(LinkFaultModel, u64)>,
 ) -> TraceRun {
-    let ty = StabilizerType::X;
-    let code = SurfaceCode::new(cfg.distance);
-    let n_anc = code.num_ancillas(ty);
-    let n_data = code.num_data_qubits();
-    let mut builder = BtwcMachine::builder(&code, ty, num_qubits, bandwidth)
-        .clique_rounds(cfg.clique_rounds)
-        .backend(cfg.backend);
-    if let Some(registry) = registry {
-        builder = builder.telemetry(registry);
-    }
-    if let Some((model, link_seed)) = fault {
-        builder = builder.fault_model(model).link_seed(link_seed);
-    }
-    let mut machine = builder.build();
-    // One tracker + forked RNG stream per qubit, keyed by qubit index:
-    // the identical schedule the pooled per-qubit implementation used,
-    // so traces are reproducible and qubit-count-stable.
-    let root = SimRng::from_seed(cfg.seed);
-    let mut rngs: Vec<SimRng> = (0..num_qubits)
-        .map(|q| SimRng::from_seed(root.fork(crate::shard::QUBIT_STREAM + q as u64).seed()))
-        .collect();
-    let mut trackers: Vec<ErrorTracker> =
-        (0..num_qubits).map(|_| ErrorTracker::new(&code, ty)).collect();
-    let mut batch = SyndromeBatch::new(num_qubits, n_anc);
-    let mut round = PackedBits::new(n_anc);
-    let mut trace = Vec::with_capacity(cfg.cycles as usize);
-    let p = cfg.physical_error_rate;
-    let pm = cfg.measurement_error_rate;
+    let mut st = TenantState::new(cfg, num_qubits, bandwidth, registry, fault);
     for _ in 0..cfg.cycles {
-        for q in 0..num_qubits {
-            let rng = &mut rngs[q];
-            for flip in SparseFlips::new(rng, n_data, p) {
-                trackers[q].flip(flip);
-            }
-            round.copy_from(trackers[q].syndrome());
-            for a in SparseFlips::new(rng, n_anc, pm) {
-                round.toggle(a);
-            }
-            batch.set_qubit_round(q, &round);
-        }
-        let cycle = machine.step(&batch);
-        for (tracker, out) in trackers.iter_mut().zip(&cycle.outcomes) {
-            if let Some(c) = out.correction() {
-                tracker.apply(c.qubits());
-            }
-        }
-        trace.push(cycle.offchip_requests);
+        st.sample();
+        let cycle = st.machine.step(&st.batch);
+        st.apply(&cycle);
     }
-    let residual_syndrome_weight = trackers.iter().map(|t| t.syndrome_weight() as u64).sum::<u64>();
-    let logical_errors =
-        trackers.iter().filter(|t| code.is_logical_error(ty, t.errors())).count() as u64;
-    TraceRun {
-        stats: machine.stats(),
-        transport: machine.transport_stats(),
-        trace,
-        residual_syndrome_weight,
-        logical_errors,
-    }
+    st.finish()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! Multi-logical-qubit off-chip demand (inputs to Figs. 9 and 16).
+//! Per-qubit off-chip demand (input to Figs. 9 and 16); the per-cycle
+//! multi-qubit trace itself is [`crate::machine_offchip_trace`].
 
 use crate::lifetime::{LifetimeConfig, LifetimeSim};
-use crate::machine::machine_offchip_trace;
 
 /// Estimates the per-qubit, per-cycle off-chip decode probability
 /// `q = 1 − coverage` by lifetime simulation — the quantity the
@@ -11,37 +11,10 @@ pub fn offchip_probability(cfg: &LifetimeConfig) -> f64 {
     LifetimeSim::new(cfg).run().offchip_fraction()
 }
 
-/// Simulates `num_qubits` logical qubits for `cfg.cycles` cycles and
-/// returns the per-cycle total number of off-chip decode requests —
-/// the bar heights of Fig. 9.
-///
-/// Since the machine-tier redesign this drives one batched
-/// [`btwc_core::BtwcMachine`] (word-parallel sticky filtering across
-/// all qubits, per-qubit RNG streams forked by qubit index) instead of
-/// pooling independent per-qubit simulations — producing the identical
-/// trace (pinned in [`crate::machine`]'s tests) through the packed
-/// machine path. The link is provisioned wide open here (demand
-/// measurement, not stalling); use [`machine_offchip_trace`] directly
-/// to study a finite link.
-///
-/// The trace is deterministic in `(cfg.seed, num_qubits)`; the
-/// `workers` argument is retained for API compatibility and no longer
-/// affects scheduling (the batched machine steps all qubits in one
-/// pass).
-///
-/// # Panics
-///
-/// Panics if `num_qubits == 0` or `workers == 0`.
-#[must_use]
-pub fn multi_qubit_trace(cfg: &LifetimeConfig, num_qubits: usize, workers: usize) -> Vec<usize> {
-    assert!(num_qubits > 0, "need at least one qubit");
-    assert!(workers > 0, "need at least one worker");
-    machine_offchip_trace(cfg, num_qubits, num_qubits).1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::machine_offchip_trace;
 
     #[test]
     fn probability_in_unit_interval_and_scales_with_p() {
@@ -57,7 +30,8 @@ mod tests {
         let cfg = LifetimeConfig::new(3, 5e-3).with_cycles(4_000).with_seed(77);
         let q = offchip_probability(&cfg);
         let qubits = 40;
-        let trace = multi_qubit_trace(&cfg, qubits, 4);
+        // A wide-open link: demand measurement, not stalling.
+        let trace = machine_offchip_trace(&cfg, qubits, qubits).1;
         assert_eq!(trace.len(), 4_000);
         let mean = trace.iter().sum::<usize>() as f64 / trace.len() as f64;
         let expected = q * qubits as f64;
@@ -65,13 +39,5 @@ mod tests {
             (mean - expected).abs() < 0.35 * expected.max(1.0),
             "trace mean {mean} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn trace_is_deterministic_across_worker_counts() {
-        let cfg = LifetimeConfig::new(3, 5e-3).with_cycles(1_000).with_seed(5);
-        let t1 = multi_qubit_trace(&cfg, 10, 1);
-        let t4 = multi_qubit_trace(&cfg, 10, 4);
-        assert_eq!(t1, t4);
     }
 }

@@ -24,7 +24,7 @@ pub(crate) const SHOT_STREAM: u64 = 1 << 40;
 pub(crate) const IID_STREAM: u64 = 2 << 40;
 /// Grid-point root seeds (sweeps; see [`crate::grid_point_seed`]).
 pub(crate) const GRID_STREAM: u64 = 3 << 40;
-/// Per-qubit streams ([`crate::multi_qubit_trace`]).
+/// Per-qubit streams ([`crate::machine_offchip_trace`] and the farm fleet).
 pub(crate) const QUBIT_STREAM: u64 = 4 << 40;
 
 /// Splits `total` work units into fixed `shard_size`-unit shards:

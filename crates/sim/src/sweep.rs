@@ -56,7 +56,7 @@ pub struct CoveragePoint {
 /// Sweeps Clique coverage over a `(p, d)` grid (Figs. 11–12).
 ///
 /// Every `(point, shard)` task of the whole grid is submitted to one
-/// work-stealing pool at once, so idle workers steal across point
+/// pool at once, so idle workers pull tasks across point
 /// boundaries — cheap d = 3 points no longer leave cores waiting on
 /// expensive d ≥ 13 ones at a per-point barrier. Each point's root seed
 /// comes from [`grid_point_seed`], so points are decorrelated yet

@@ -5,10 +5,9 @@
 //! stats, per-cycle demand trace, end-of-run error state, and
 //! `machine.*` cycle-domain telemetry — must be **bit-identical** to
 //! the inline single-machine loop ([`machine_offchip_trace`]), for
-//! every builtin backend, for `BTWC_WORKERS` ∈ {1, 2, 8}, both pool
-//! modes, and any submission interleaving (fleet argument order).
+//! every builtin backend, for `BTWC_WORKERS` ∈ {1, 2, 8}, and any
+//! submission interleaving (fleet argument order).
 
-use btwc_pool::PoolMode;
 use btwc_sim::{
     machine_farm_trace, machine_offchip_trace_telemetry, DecoderBackend, FarmConfig, FarmTenant,
     FarmTenantRun, LifetimeConfig, Pool,
@@ -128,28 +127,4 @@ fn submission_interleaving_is_invisible() {
     for (i, t) in run_a.tenants.iter().enumerate() {
         assert_tenant_matches_inline(t, &cfgs[i], 3, 2, &format!("interleaving tenant {i}"));
     }
-}
-
-/// The pin holds across pool modes: the persistent-worker pool and the
-/// legacy per-`map` spawn pool produce byte-identical fleet runs.
-#[test]
-fn farm_runs_are_identical_across_pool_modes() {
-    let cfgs = [
-        LifetimeConfig::new(3, 5e-2)
-            .with_cycles(400)
-            .with_seed(7)
-            .with_backend(DecoderBackend::SparseBlossom),
-        LifetimeConfig::new(5, 2.2e-2)
-            .with_cycles(400)
-            .with_seed(8)
-            .with_backend(DecoderBackend::DenseMwpm),
-    ];
-    let tenants: Vec<FarmTenant> = cfgs.iter().map(|cfg| FarmTenant::new(*cfg, 3, 2)).collect();
-    let runs: Vec<_> = [PoolMode::Persistent, PoolMode::Legacy]
-        .into_iter()
-        .map(|mode| {
-            machine_farm_trace(&tenants, FarmConfig::generous(), Pool::new(4).with_mode(mode))
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1], "pool mode leaked into fleet results");
 }

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use btwc_core::{ComplexDecoder, StabilizerType, SurfaceCode};
 use btwc_sim::{
     coverage_sweep, coverage_sweep_iid, grid_point_seed, logical_error_rate_parallel,
-    machine_offchip_trace_telemetry, multi_qubit_trace, signature_distribution_iid, DecoderBackend,
-    DecoderKind, LifetimeConfig, LifetimeSim, Pool, ShotConfig,
+    machine_offchip_trace_telemetry, signature_distribution_iid, DecoderBackend, DecoderKind,
+    LifetimeConfig, LifetimeSim, Pool, ShotConfig,
 };
 use btwc_sparse::SparseDecoder;
 use btwc_telemetry::{Domain, MetricsRegistry};
@@ -87,15 +87,6 @@ fn signature_distribution_iid_identical_across_worker_counts() {
     }
 }
 
-#[test]
-fn multi_qubit_trace_identical_across_worker_counts() {
-    let cfg = LifetimeConfig::new(3, 5e-3).with_cycles(2_000).with_seed(5);
-    let reference = multi_qubit_trace(&cfg, 12, 1);
-    for workers in &WORKER_COUNTS[1..] {
-        assert_eq!(multi_qubit_trace(&cfg, 12, *workers), reference, "workers={workers}");
-    }
-}
-
 /// The telemetry determinism pin: the *cycle-domain* metric snapshot of
 /// a machine run over a pooled sparse decoder must be bit-identical —
 /// as serialized JSON — for any pool worker count. Cycle-domain metrics
@@ -103,7 +94,7 @@ fn multi_qubit_trace_identical_across_worker_counts() {
 /// decode decisions (both worker-count-independent) and accumulated
 /// with commutative atomic adds, so scheduling can reorder the
 /// increments but never change the totals. Scheduling-sensitive
-/// numbers (`pool.tasks_stolen` etc.) live in `Domain::Scheduling` and
+/// numbers (`pool.tasks_local` etc.) live in `Domain::Scheduling` and
 /// are excluded from this snapshot by construction.
 #[test]
 fn cycle_domain_telemetry_identical_across_worker_counts() {

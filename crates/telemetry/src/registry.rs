@@ -11,7 +11,7 @@ pub enum Domain {
     /// Derived from the deterministic machine cycle counter; bit-reproducible
     /// for any worker count.
     Cycles,
-    /// Depends on thread scheduling (work stealing, per-worker load);
+    /// Depends on thread scheduling (which worker ran what, per-worker load);
     /// excluded from determinism snapshots.
     Scheduling,
     /// Wall-clock time; only populated with the `wall-time` feature.

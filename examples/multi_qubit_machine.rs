@@ -18,7 +18,7 @@ use btwc::core::{BtwcMachine, DecoderBackend, StabilizerType, SurfaceCode, Syndr
 use btwc::noise::{NoiseModel, PhenomenologicalNoise, SimRng};
 use btwc::telemetry::{Domain, MetricValue, MetricsRegistry};
 
-/// Writes the cycle-domain snapshot next to `BENCH_decoders.json` and
+/// Writes the cycle-domain snapshot to `TELEMETRY_machine.json` and
 /// proves the emitted file is machine-readable: it must parse as strict
 /// JSON and contain every key a decode-farm dashboard would scrape.
 fn export_and_check_snapshot(registry: &MetricsRegistry) {

@@ -24,7 +24,7 @@
 //! | [`sfq`] | ERSFQ cell library, netlist synthesis, power/area/latency |
 //! | [`bandwidth`] | Statistical link provisioning + overflow stalling (contributions 2–3) |
 //! | [`sim`] | Allocation-free Monte Carlo lifetime / logical-error-rate engines |
-//! | [`pool`] | Work-stealing thread pool with deterministic sharded map/reduce |
+//! | [`pool`] | Thread pool (parked workers, one injector queue) with deterministic sharded map/reduce |
 //! | [`core`] | The assembled BTWC pipeline and machine tier (`BtwcDecoder`, `BtwcMachine`, the `DecoderBackend` registry) |
 //! | [`telemetry`] | Zero-cost-when-disabled metrics: deterministic cycle-domain counters/histograms/span timers, JSON snapshots |
 //! | [`uf`] | Union-find decoder (the Sec. 8.1 hierarchical-decoding extension) |
