@@ -209,6 +209,15 @@ impl DetectorGraph {
         self.dist[a * self.num_nodes + b]
     }
 
+    /// Distances from ancilla `a` to every ancilla, indexed by ancilla:
+    /// `distance_row(a)[b] == distance(a, b)`. One contiguous row of the
+    /// precomputed table, for scans that probe many partners of `a`.
+    #[inline]
+    #[must_use]
+    pub fn distance_row(&self, a: usize) -> &[u32] {
+        &self.dist[a * self.num_nodes..(a + 1) * self.num_nodes]
+    }
+
     /// Shortest distance from ancilla `a` to the open boundary.
     #[must_use]
     pub fn boundary_distance(&self, a: usize) -> u32 {
@@ -220,14 +229,22 @@ impl DetectorGraph {
     #[must_use]
     pub fn path(&self, a: usize, b: usize) -> Vec<usize> {
         let mut qubits = Vec::new();
+        self.extend_path(a, b, &mut qubits);
+        qubits
+    }
+
+    /// Appends [`DetectorGraph::path`]`(a, b)` to `out` — the
+    /// allocation-free form for decoders that gather many paths into one
+    /// recycled buffer.
+    pub fn extend_path(&self, a: usize, b: usize, out: &mut Vec<usize>) {
+        let row = &self.parent[a * self.num_nodes..(a + 1) * self.num_nodes];
         let mut node = b;
         while node != a {
-            let (prev, q) = self.parent[a * self.num_nodes + node];
+            let (prev, q) = row[node];
             assert_ne!(prev, u32::MAX, "detector graph is connected");
-            qubits.push(q as usize);
+            out.push(q as usize);
             node = prev as usize;
         }
-        qubits
     }
 
     /// Data qubits along one shortest path from ancilla `a` out to the
@@ -236,12 +253,19 @@ impl DetectorGraph {
     #[must_use]
     pub fn path_to_boundary(&self, a: usize) -> Vec<usize> {
         let mut qubits = Vec::new();
+        self.extend_path_to_boundary(a, &mut qubits);
+        qubits
+    }
+
+    /// Appends [`DetectorGraph::path_to_boundary`]`(a)` to `out` (the
+    /// allocation-free form).
+    pub fn extend_path_to_boundary(&self, a: usize, out: &mut Vec<usize>) {
         let mut node = a;
         loop {
             let (next, q) = self.boundary_parent[node];
-            qubits.push(q);
+            out.push(q);
             match next {
-                NodeRef::Boundary => return qubits,
+                NodeRef::Boundary => return,
                 NodeRef::Ancilla(b) => node = b,
             }
         }
@@ -382,6 +406,27 @@ mod tests {
                     assert_eq!(s, expect, "a={a} b={b} ancilla {i}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn rows_and_appended_paths_match_the_pairwise_queries() {
+        let code = SurfaceCode::new(7);
+        let g = code.detector_graph(StabilizerType::Z);
+        let mut out = vec![usize::MAX];
+        for a in 0..g.num_nodes() {
+            let row = g.distance_row(a);
+            assert_eq!(row.len(), g.num_nodes());
+            for (b, &d) in row.iter().enumerate() {
+                assert_eq!(d, g.distance(a, b), "a={a} b={b}");
+                out.truncate(1);
+                g.extend_path(a, b, &mut out);
+                assert_eq!(out[1..], g.path(a, b), "a={a} b={b}");
+            }
+            out.truncate(1);
+            g.extend_path_to_boundary(a, &mut out);
+            assert_eq!(out[1..], g.path_to_boundary(a), "a={a}");
+            assert_eq!(out[0], usize::MAX, "appending must keep what was there");
         }
     }
 

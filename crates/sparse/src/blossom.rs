@@ -53,6 +53,17 @@
 //!   that edge when the far end is exposed too. Most clusters are
 //!   solved by this pass alone; the stages only run for what it leaves.
 //!
+//! **A solve builds only the graph until a stage needs more.** `prepare`
+//! makes one pass over the edge list: it stores the doubled weights and
+//! the endpoints (`endpoint[2k]`, `endpoint[2k + 1]` *are* the edge
+//! list), counts degrees for the CSR adjacency, and sets each vertex's
+//! jump-start dual to its largest incident weight on the way. The jump
+//! start needs nothing else. The stage tables — labels, blossom lists,
+//! best and allowed edges, free blossom slots, blossom duals — are
+//! built only when an exposed vertex with positive dual survives it;
+//! a zero-stage solve (about half of the decoder's solves on
+//! `escalation_heavy`) reads its pairs off the jump start and returns.
+//!
 //! Weights are doubled on entry, which makes every starting dual even
 //! (a maximum of doubled weights, or a doubled weight minus an even
 //! dual); all roots then fall in lockstep and every tree vertex hangs
@@ -60,8 +71,9 @@
 //! and the half-slack of an S–S edge stays integral.
 //!
 //! All solver state lives in a caller-owned [`BlossomArena`] that
-//! regrows monotonically and is reset — never reallocated — per solve,
-//! so the decode hot path stays allocation-free once warm.
+//! regrows monotonically and is reset — never reallocated — per solve:
+//! once warm, a solve makes zero heap allocations (the decoder around
+//! it makes one per decode, the returned correction).
 //!
 //! **Dual adjustment is slack-ordered**: instead of re-scanning every
 //! vertex and blossom per substage for the smallest dual step, the
@@ -147,19 +159,23 @@ pub struct BlossomArena {
     /// Number of edges of the current solve.
     m: usize,
     // --- the graph (edge list + CSR adjacency) ---
-    edge_u: Vec<u32>,
-    edge_v: Vec<u32>,
     /// Doubled edge weights (see the module docs on parity).
     wt: Vec<i64>,
-    /// `endpoint[2k] = u`, `endpoint[2k + 1] = v` of edge `k`.
+    /// `endpoint[2k] = u`, `endpoint[2k + 1] = v` of edge `k` — the
+    /// edge list itself.
     endpoint: Vec<u32>,
     /// CSR offsets into `nb`, length `n + 1`.
     nb_off: Vec<u32>,
     /// Remote endpoints of the edges incident to each vertex.
     nb: Vec<u32>,
-    // --- solver state (vertex- or blossom-indexed, length 2n) ---
+    // --- the jump start's state (vertex-indexed, length n) ---
     /// `mate[v]` = remote endpoint of v's matched edge, or -1.
     mate: Vec<i32>,
+    /// Dual variables: vertex radii, then (from the first stage on)
+    /// blossom duals.
+    dualvar: Vec<i64>,
+    // --- stage tables (vertex- or blossom-indexed, length 2n), built
+    // only when a root survives the jump start ---
     /// 0 free, 1 S (outer), 2 T (inner), 5 = S + breadcrumb, -1 unused.
     label: Vec<i8>,
     /// Remote endpoint of the edge through which the label was claimed.
@@ -177,8 +193,6 @@ pub struct BlossomArena {
     bestedge: Vec<i32>,
     blossombest: Vec<Vec<u32>>,
     has_best: Vec<bool>,
-    /// Dual variables: vertex radii and blossom duals.
-    dualvar: Vec<i64>,
     /// Edges known to have zero slack.
     allowedge: Vec<bool>,
     queue: Vec<u32>,
@@ -242,8 +256,35 @@ impl BlossomArena {
         }
         self.prepare(num_vertices, edges);
         self.jump_start();
-        let (n, two_n) = (self.n, 2 * self.n);
+        // A zero-stage solve — every exposed vertex already at dual
+        // zero — reads its pairs straight off the jump start, without
+        // building a single stage table.
+        if (0..self.n).any(|v| self.mate[v] == NONE && self.dualvar[v] > 0) {
+            self.run_stages();
+        }
 
+        #[cfg(debug_assertions)]
+        self.assert_optimal();
+        let mut total = 0i64;
+        for v in 0..self.n {
+            let p = self.mate[v];
+            if p >= 0 {
+                let u = self.endpoint[p as usize] as usize;
+                if v < u {
+                    pairs.push((v, u));
+                    total += self.wt[p as usize / 2] / 2;
+                }
+            }
+        }
+        total
+    }
+
+    /// Runs stages until no root is left, after building the stage
+    /// tables the jump start did not need. Every stage ends in an
+    /// augmentation or a retirement.
+    fn run_stages(&mut self) {
+        self.prepare_stages();
+        let (n, two_n) = (self.n, 2 * self.n);
         loop {
             // Stage reset: forget labels, best edges, and allowed
             // (zero-slack) markers; duals, mates, and the blossom
@@ -475,7 +516,7 @@ impl BlossomArena {
                     2 => {
                         let k = deltaedge as usize;
                         self.allowedge[k] = true;
-                        let (mut i, j) = (self.edge_u[k], self.edge_v[k]);
+                        let (mut i, j) = (self.endpoint[2 * k], self.endpoint[2 * k + 1]);
                         if self.label[self.inblossom[i as usize] as usize] == 0 {
                             i = j;
                         }
@@ -486,10 +527,10 @@ impl BlossomArena {
                         let k = deltaedge as usize;
                         self.allowedge[k] = true;
                         debug_assert_eq!(
-                            self.label[self.inblossom[self.edge_u[k] as usize] as usize],
+                            self.label[self.inblossom[self.endpoint[2 * k] as usize] as usize],
                             1
                         );
-                        self.queue.push(self.edge_u[k]);
+                        self.queue.push(self.endpoint[2 * k]);
                     }
                     _ => self.expand_blossom(deltablossom as usize, false),
                 }
@@ -506,35 +547,25 @@ impl BlossomArena {
                 }
             }
         }
-
-        #[cfg(debug_assertions)]
-        self.assert_optimal();
-        let mut total = 0i64;
-        for v in 0..n {
-            let p = self.mate[v];
-            if p >= 0 {
-                let u = self.endpoint[p as usize] as usize;
-                if v < u {
-                    pairs.push((v, u));
-                    total += self.wt[p as usize / 2] / 2;
-                }
-            }
-        }
-        total
     }
 
-    /// Sizes and resets every table for a solve over `n` vertices and
-    /// the given edges (no allocation once grown).
+    /// Loads the graph for a solve over `n` vertices in one pass over
+    /// the edges — doubled weights, endpoints, vertex degrees, and each
+    /// vertex's jump-start dual (its largest incident weight) — then
+    /// the CSR adjacency and an all-exposed matching. Nothing else is
+    /// reset here: the stage tables wait for [`Self::prepare_stages`].
+    /// No allocation once grown.
     fn prepare(&mut self, n: usize, edges: &[ClusterEdge]) {
         let m = edges.len();
         self.n = n;
         self.m = m;
-        let two_n = 2 * n;
 
-        self.edge_u.clear();
-        self.edge_v.clear();
         self.wt.clear();
         self.endpoint.clear();
+        self.nb_off.clear();
+        self.nb_off.resize(n + 1, 0);
+        self.dualvar.clear();
+        self.dualvar.resize(n, 0);
         for e in edges {
             assert!(
                 (e.u as usize) < n && (e.v as usize) < n && e.u != e.v,
@@ -543,20 +574,17 @@ impl BlossomArena {
                 e.v
             );
             assert!(e.weight >= 0, "negative weight {} on edge ({}, {})", e.weight, e.u, e.v);
-            self.edge_u.push(e.u);
-            self.edge_v.push(e.v);
-            self.wt.push(2 * e.weight);
+            let (u, v, w) = (e.u as usize, e.v as usize, 2 * e.weight);
+            self.wt.push(w);
             self.endpoint.push(e.u);
             self.endpoint.push(e.v);
+            self.nb_off[u + 1] += 1;
+            self.nb_off[v + 1] += 1;
+            self.dualvar[u] = self.dualvar[u].max(w);
+            self.dualvar[v] = self.dualvar[v].max(w);
         }
 
         // CSR adjacency of remote endpoints.
-        self.nb_off.clear();
-        self.nb_off.resize(n + 1, 0);
-        for e in edges {
-            self.nb_off[e.u as usize + 1] += 1;
-            self.nb_off[e.v as usize + 1] += 1;
-        }
         for i in 0..n {
             self.nb_off[i + 1] += self.nb_off[i];
         }
@@ -575,6 +603,15 @@ impl BlossomArena {
 
         self.mate.clear();
         self.mate.resize(n, NONE);
+    }
+
+    /// Sizes and resets the stage tables — labels, blossom structure,
+    /// best edges, allowed edges, free blossom slots — and the blossom
+    /// half of the duals, for the stages about to run (no allocation
+    /// once grown).
+    fn prepare_stages(&mut self) {
+        let (n, m, two_n) = (self.n, self.m, 2 * self.n);
+        self.dualvar.resize(two_n, 0);
         self.label.clear();
         self.label.resize(two_n, 0);
         self.labelend.clear();
@@ -588,8 +625,6 @@ impl BlossomArena {
         self.blossombase.resize(two_n, NONE);
         self.bestedge.clear();
         self.bestedge.resize(two_n, NONE);
-        self.dualvar.clear();
-        self.dualvar.resize(two_n, 0);
         if self.blossomchilds.len() < two_n {
             self.blossomchilds.resize_with(two_n, Vec::new);
             self.blossomendps.resize_with(two_n, Vec::new);
@@ -610,16 +645,12 @@ impl BlossomArena {
     }
 
     /// The jump start (see the module docs): every vertex dual starts
-    /// at the vertex's largest incident weight, and a reduction pass in
-    /// vertex order tightens, matches or retires each vertex that is
-    /// still exposed when its turn comes. An isolated vertex starts —
-    /// and stays — retired at dual zero.
+    /// at the vertex's largest incident weight (set by
+    /// [`Self::prepare`]), and a reduction pass in vertex order
+    /// tightens, matches or retires each vertex that is still exposed
+    /// when its turn comes. An isolated vertex starts — and stays —
+    /// retired at dual zero.
     fn jump_start(&mut self) {
-        for k in 0..self.m {
-            let (u, v, w) = (self.edge_u[k] as usize, self.edge_v[k] as usize, self.wt[k]);
-            self.dualvar[u] = self.dualvar[u].max(w);
-            self.dualvar[v] = self.dualvar[v].max(w);
-        }
         // Reduction: an exposed vertex gives up all the dual
         // feasibility lets it (down to `floor`, the largest shortfall
         // `2·w − y(v)` over its edges), which leaves it a tight edge or
@@ -654,7 +685,8 @@ impl BlossomArena {
     /// every slack integral; zero slack means the edge is tight).
     #[inline]
     fn slack(&self, k: usize) -> i64 {
-        self.dualvar[self.edge_u[k] as usize] + self.dualvar[self.edge_v[k] as usize]
+        self.dualvar[self.endpoint[2 * k] as usize]
+            + self.dualvar[self.endpoint[2 * k + 1] as usize]
             - 2 * self.wt[k]
     }
 
@@ -737,10 +769,13 @@ impl BlossomArena {
     /// solve: the duals are feasible (`y ≥ 0`, `z ≥ 0`, no edge over
     /// covered), every matched edge is tight, and every unmatched
     /// vertex sits at dual zero — complementary slackness for
-    /// maximum-weight matching, so the matching is a maximum.
+    /// maximum-weight matching, so the matching is a maximum. A
+    /// zero-stage solve built no stage table and has no blossom, so
+    /// only the vertex duals are read then.
     #[cfg(debug_assertions)]
     fn assert_optimal(&self) {
         let n = self.n;
+        let staged = self.stats.stages > 0;
         for v in 0..n {
             assert!(self.dualvar[v] >= 0, "vertex {v} has negative dual");
             assert!(
@@ -749,11 +784,13 @@ impl BlossomArena {
                 self.dualvar[v]
             );
         }
-        for b in n..2 * n {
-            assert!(
-                self.blossombase[b] < 0 || self.dualvar[b] >= 0,
-                "blossom {b} has negative dual"
-            );
+        if staged {
+            for b in n..2 * n {
+                assert!(
+                    self.blossombase[b] < 0 || self.dualvar[b] >= 0,
+                    "blossom {b} has negative dual"
+                );
+            }
         }
         // The blossoms containing `v`, innermost first.
         let chain = |v: usize| {
@@ -761,12 +798,16 @@ impl BlossomArena {
             std::iter::successors(up(v as i32), move |&b| up(b))
         };
         for k in 0..self.m {
-            let (u, v) = (self.edge_u[k] as usize, self.edge_v[k] as usize);
+            let (u, v) = (self.endpoint[2 * k] as usize, self.endpoint[2 * k + 1] as usize);
             // Blossom duals cover the edges inside them.
-            let z: i64 = chain(u)
-                .filter(|&b| chain(v).any(|c| c == b))
-                .map(|b| self.dualvar[b as usize])
-                .sum();
+            let z: i64 = if staged {
+                chain(u)
+                    .filter(|&b| chain(v).any(|c| c == b))
+                    .map(|b| self.dualvar[b as usize])
+                    .sum()
+            } else {
+                0
+            };
             let s = self.slack(k) + 2 * z;
             assert!(s >= 0, "edge ({u}, {v}) is over-covered by {s}");
             if self.mate[u] >= 0 && self.mate[u] as usize / 2 == k {
@@ -874,7 +915,7 @@ impl BlossomArena {
     /// Shrinks the odd alternating cycle through edge `k` with common
     /// ancestor base `base` into a new blossom node.
     fn add_blossom(&mut self, base: usize, k: usize) {
-        let (mut v, mut w) = (self.edge_u[k] as usize, self.edge_v[k] as usize);
+        let (mut v, mut w) = (self.endpoint[2 * k] as usize, self.endpoint[2 * k + 1] as usize);
         let bb = self.inblossom[base] as usize;
         let mut bv = self.inblossom[v] as usize;
         let mut bw = self.inblossom[w] as usize;
@@ -959,7 +1000,8 @@ impl BlossomArena {
             }
             for &kk in &cand {
                 let kk = kk as usize;
-                let (mut i, mut j) = (self.edge_u[kk] as usize, self.edge_v[kk] as usize);
+                let (mut i, mut j) =
+                    (self.endpoint[2 * kk] as usize, self.endpoint[2 * kk + 1] as usize);
                 if self.inblossom[j] as usize == b {
                     std::mem::swap(&mut i, &mut j);
                 }
@@ -1186,8 +1228,8 @@ impl BlossomArena {
     /// tree root, or no further than the endpoint itself when that is a
     /// retired vertex or blossom.
     fn augment_matching(&mut self, k: usize) {
-        self.flip_to_root(self.edge_u[k] as usize, (2 * k + 1) as i32);
-        self.flip_to_root(self.edge_v[k] as usize, (2 * k) as i32);
+        self.flip_to_root(self.endpoint[2 * k] as usize, (2 * k + 1) as i32);
+        self.flip_to_root(self.endpoint[2 * k + 1] as usize, (2 * k) as i32);
     }
 
     /// Retires S-vertex `v`, whose dual a type-1 step just brought to
@@ -1418,13 +1460,15 @@ mod tests {
 
     /// Every graph on `n` vertices whose edges each take a weight from
     /// `weights` or are absent, against the exponential reference, on
-    /// one reused arena.
-    fn exhaust(arena: &mut BlossomArena, n: usize, weights: &[i64]) -> u64 {
+    /// one reused arena. Returns the graph count and how many of the
+    /// solves returned early, with zero stages.
+    fn exhaust(arena: &mut BlossomArena, n: usize, weights: &[i64]) -> (u64, u64) {
         let slots: Vec<(u32, u32)> =
             (0..n as u32).flat_map(|u| (u + 1..n as u32).map(move |v| (u, v))).collect();
         let base = weights.len() as u64 + 1;
         let graphs = base.pow(slots.len() as u32);
         let mut edges = Vec::new();
+        let mut early = 0;
         for code in 0..graphs {
             edges.clear();
             let mut c = code;
@@ -1436,8 +1480,9 @@ mod tests {
                 }
             }
             check(arena, n, &edges);
+            early += u64::from(arena.stats().stages == 0);
         }
-        graphs
+        (graphs, early)
     }
 
     #[test]
@@ -1445,14 +1490,20 @@ mod tests {
         // Checked to a bound, not sampled: all graphs on up to five
         // vertices with edge weights in {absent, 1, 2}, and all
         // unit-weight graphs on six — odd vertex counts, isolated
-        // vertices and disconnected graphs included.
+        // vertices and disconnected graphs included. The certificate
+        // runs after every solve in debug builds, the early zero-stage
+        // returns included.
         let mut arena = BlossomArena::new();
-        let mut graphs = 0;
-        for n in 1..=5 {
-            graphs += exhaust(&mut arena, n, &[1, 2]);
+        let (mut graphs, mut early) = (0, 0);
+        for n in 1..=6 {
+            let weights: &[i64] = if n < 6 { &[1, 2] } else { &[1] };
+            let (g, e) = exhaust(&mut arena, n, weights);
+            graphs += g;
+            early += e;
         }
-        graphs += exhaust(&mut arena, 6, &[1]);
         assert_eq!(graphs, 1 + 3 + 27 + 729 + 59_049 + 32_768);
+        // Vacuity guard: both the early return and the stages ran.
+        assert!(early > 0 && early < graphs, "{early} of {graphs} solves returned early");
     }
 
     #[test]
@@ -1467,6 +1518,7 @@ mod tests {
         let mut rng = SimRng::from_seed(0xB10550);
         let mut arena = BlossomArena::new();
         let mut seen = SolveStats::default();
+        let mut early = 0;
         for _case in 0..cases {
             let n = 1 + rng.below(12);
             let density = [0.15, 0.3, 0.5, 0.8][rng.below(4)];
@@ -1481,6 +1533,7 @@ mod tests {
             }
             check(&mut arena, n, &edges);
             let st = arena.stats();
+            early += u32::from(st.stages == 0);
             seen.stages += st.stages;
             seen.jump_matched += st.jump_matched;
             seen.shrunk += st.shrunk;
@@ -1493,6 +1546,7 @@ mod tests {
         // path the imperfect-matching rules add, not only the classic
         // ones.
         assert!(seen.jump_matched > 0 && seen.stages > 0 && seen.shrunk > 0, "{seen:?}");
+        assert!(early > 0, "no solve returned early with zero stages: {seen:?}");
         assert!(seen.retired > seen.retired_in_blossom, "no plain-vertex retirement: {seen:?}");
         assert!(seen.retired_in_blossom > 0, "no retirement inside a blossom: {seen:?}");
         assert!(seen.retired_augments > 0, "no augmentation into a retired vertex: {seen:?}");

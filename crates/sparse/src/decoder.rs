@@ -177,7 +177,8 @@ impl SparseDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if any event references an out-of-range ancilla.
+    /// Panics if any event references an out-of-range ancilla, or a
+    /// round beyond `u32::MAX`.
     #[must_use]
     pub fn decode_events(&self, events: &[DetectionEvent]) -> Correction {
         let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
@@ -197,7 +198,8 @@ impl SparseDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if any event references an out-of-range ancilla.
+    /// Panics if any event references an out-of-range ancilla, or a
+    /// round beyond `u32::MAX`.
     #[must_use]
     pub fn decode_events_mut(&mut self, events: &[DetectionEvent]) -> Correction {
         self.decode_events_weighted(events).0
@@ -210,7 +212,8 @@ impl SparseDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if any event references an out-of-range ancilla.
+    /// Panics if any event references an out-of-range ancilla, or a
+    /// round beyond `u32::MAX`.
     #[must_use]
     pub fn decode_events_weighted(&mut self, events: &[DetectionEvent]) -> (Correction, i64) {
         let scratch = self.scratch.get_mut().unwrap_or_else(PoisonError::into_inner);
@@ -295,6 +298,7 @@ impl SparseDecoder {
         }
         for ev in events {
             assert!(ev.ancilla < graph.num_nodes(), "event ancilla {} out of range", ev.ancilla);
+            assert!(u32::try_from(ev.round).is_ok(), "event round {} out of range", ev.round);
         }
         scratch.prepare(n);
         merge_colliding_regions(graph, events, scratch);
@@ -306,7 +310,7 @@ impl SparseDecoder {
             let r = scratch.find(i);
             scratch.root.push(r);
         }
-        let SparseScratch { root, order, collisions, cluster, .. } = scratch;
+        let SparseScratch { root, order, collisions, cluster, flips, .. } = scratch;
         order.sort_unstable_by_key(|&i| root[i as usize]);
         // Group the collision edges the same way: every edge is
         // intra-cluster by construction, so sorting by one endpoint's
@@ -315,7 +319,6 @@ impl SparseDecoder {
         collisions.sort_unstable_by_key(|e| root[e.u as usize]);
         let (order, collisions, root) = (&*order, &*collisions, &*root);
 
-        let mut flips = Vec::new();
         let mut total = 0i64;
         let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
         let mut start = 0usize;
@@ -343,7 +346,7 @@ impl SparseDecoder {
                     &order[start..end],
                     &collisions[edge_at..edge_end],
                     cluster,
-                    &mut flips,
+                    flips,
                     telemetry,
                 );
             }
@@ -373,7 +376,7 @@ impl SparseDecoder {
                 flips.extend_from_slice(&task_flips);
             }
         }
-        (Correction::from_flips(flips), total)
+        (Correction::from_flip_buffer(flips), total)
     }
 }
 
@@ -400,7 +403,7 @@ pub(crate) fn solve_cluster(
         // A lone defect: its region met nobody within its own
         // boundary distance, so the boundary exit is optimal.
         1 => {
-            flips.extend(graph.path_to_boundary(ancilla(0)));
+            graph.extend_path_to_boundary(ancilla(0), flips);
             i64::from(graph.boundary_distance(ancilla(0)))
         }
         // A pair: the direct edge against two boundary exits.
@@ -411,11 +414,11 @@ pub(crate) fn solve_cluster(
             let exits = i64::from(graph.boundary_distance(u.ancilla))
                 + i64::from(graph.boundary_distance(v.ancilla));
             if direct <= exits {
-                flips.extend(graph.path(u.ancilla, v.ancilla));
+                graph.extend_path(u.ancilla, v.ancilla, flips);
                 direct
             } else {
-                flips.extend(graph.path_to_boundary(u.ancilla));
-                flips.extend(graph.path_to_boundary(v.ancilla));
+                graph.extend_path_to_boundary(u.ancilla, flips);
+                graph.extend_path_to_boundary(v.ancilla, flips);
                 exits
             }
         }
@@ -450,7 +453,7 @@ pub(crate) fn solve_cluster(
             matched.clear();
             matched.resize(k, false);
             for &(u, v) in pairs.iter() {
-                flips.extend(graph.path(ancilla(u), ancilla(v)));
+                graph.extend_path(ancilla(u), ancilla(v), flips);
                 matched[u] = true;
                 matched[v] = true;
             }
@@ -458,7 +461,7 @@ pub(crate) fn solve_cluster(
             for (local, &paired) in matched.iter().enumerate() {
                 exits += bd(local);
                 if !paired {
-                    flips.extend(graph.path_to_boundary(ancilla(local)));
+                    graph.extend_path_to_boundary(ancilla(local), flips);
                 }
             }
             exits - gain
@@ -663,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_every_stream_classification() {
+    fn telemetry_counts_clusters_and_blossom_solves() {
         // What a decode classifies: every cluster by size, and every
         // ≥3-event one as a blossom solve.
         let code = SurfaceCode::new(7);

@@ -39,8 +39,9 @@
 //! the per-decode cost drops from "cubic in all events" to "a pruned
 //! collision scan plus per-cluster matchings sized by how entangled the
 //! events actually are". All working state lives in a reusable
-//! [`SparseScratch`], so warmed-up decodes allocate only what leaves in
-//! the returned correction.
+//! [`SparseScratch`], so a warmed-up decode without a pool makes exactly
+//! one heap allocation, the returned correction's qubit list, whatever
+//! the window's size (`tests/allocations.rs` counts it).
 //!
 //! Every window is decoded from scratch. The hierarchy *consumes* a
 //! window on each complex decode (the tiers reset it once the

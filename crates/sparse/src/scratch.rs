@@ -7,13 +7,16 @@
 //! [`ClusterScratch`] — the cluster's local gain graph, the matching
 //! the solver returns, and the [`BlossomArena`] holding the sparse
 //! blossom solver's alternating-tree and blossom tables. Pooled
-//! cluster tasks recycle whole `ClusterScratch`es the same way.
-//! Warmed up, a decode allocates only what leaves in its return value:
-//! the `Correction`'s flip list.
+//! cluster tasks recycle whole `ClusterScratch`es the same way, and the
+//! data-qubit flips of every path are gathered in one recycled buffer.
+//! Warmed up, an unpooled decode makes exactly one heap allocation, the
+//! returned `Correction`'s qubit list, for 3 events or 200
+//! (`tests/allocations.rs` pins the count).
 
 use btwc_syndrome::DetectionEvent;
 
 use crate::blossom::{BlossomArena, ClusterEdge};
+use crate::regions::ScanEvent;
 
 /// Everything one ≥3-event cluster solve works in: the inline decode
 /// keeps one inside its [`SparseScratch`], and each pooled cluster task
@@ -48,6 +51,10 @@ pub struct SparseScratch {
     /// cluster is one contiguous run).
     pub(crate) root: Vec<u32>,
     pub(crate) order: Vec<u32>,
+    /// The events in scan order as the collision scan reads them, and
+    /// its per-event output slots (see `crate::regions`).
+    pub(crate) scan: Vec<ScanEvent>,
+    pub(crate) hits: Vec<ClusterEdge>,
     /// Every colliding event pair found by the region scan, with its
     /// space-time weight — the sparse edge set the in-solver blossom
     /// matches on (global event indices; sorted by cluster root before
@@ -55,6 +62,9 @@ pub struct SparseScratch {
     pub(crate) collisions: Vec<ClusterEdge>,
     /// Working state of the cluster currently being solved.
     pub(crate) cluster: ClusterScratch,
+    /// Data-qubit flips of the inline cluster solves, gathered before
+    /// they are folded into the returned correction.
+    pub(crate) flips: Vec<usize>,
     /// Detection events of the window being decoded (filled by
     /// `decode_window`).
     pub(crate) events: Vec<DetectionEvent>,
@@ -78,6 +88,7 @@ impl SparseScratch {
         self.root.clear();
         self.order.clear();
         self.collisions.clear();
+        self.flips.clear();
     }
 
     /// Union-find root of event `x`, with path halving.

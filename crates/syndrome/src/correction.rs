@@ -20,6 +20,14 @@ impl Correction {
     /// cancel pairwise (XOR semantics).
     #[must_use]
     pub fn from_flips(mut flips: Vec<usize>) -> Self {
+        Self::from_flip_buffer(&mut flips)
+    }
+
+    /// [`Correction::from_flips`] over a borrowed buffer, which is left
+    /// sorted: the caller keeps its capacity for the next decode, and
+    /// the only allocation is the correction's own qubit list.
+    #[must_use]
+    pub fn from_flip_buffer(flips: &mut [usize]) -> Self {
         flips.sort_unstable();
         let mut qubits = Vec::with_capacity(flips.len());
         let mut i = 0;
@@ -94,6 +102,9 @@ mod tests {
         let c = Correction::from_flips(vec![3, 1, 3, 2, 1, 1]);
         assert_eq!(c.qubits(), &[1, 2]);
         assert_eq!(c.weight(), 2);
+        let mut buffer = vec![3, 1, 3, 2, 1, 1];
+        assert_eq!(Correction::from_flip_buffer(&mut buffer), c);
+        assert_eq!(buffer, [1, 1, 1, 2, 3, 3], "the buffer is left sorted");
     }
 
     #[test]
