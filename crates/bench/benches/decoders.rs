@@ -117,7 +117,7 @@ fn bench_mwpm_decode(c: &mut Criterion) {
     group.sample_size(20);
     for d in [5u16, 9, 13] {
         let code = SurfaceCode::new(d);
-        let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+        let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
         let noise = PhenomenologicalNoise::uniform(5e-3);
         let mut rng = SimRng::from_seed(2);
         let n_anc = code.num_ancillas(StabilizerType::X);
@@ -136,7 +136,7 @@ fn bench_mwpm_decode(c: &mut Criterion) {
         }
         window.push(&code.syndrome_of(StabilizerType::X, &errors));
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
-            b.iter(|| black_box(decoder.decode_window(&window)));
+            b.iter(|| black_box(decoder.decode_window_mut(&window)));
         });
     }
     group.finish();
@@ -154,8 +154,8 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
     for d in [5u16, 9, 13, 17, 21] {
         let code = SurfaceCode::new(d);
         let ty = StabilizerType::X;
-        let dense = MwpmDecoder::new(&code, ty);
-        let sparse = SparseDecoder::new(&code, ty);
+        let mut dense = MwpmDecoder::new(&code, ty);
+        let mut sparse = SparseDecoder::new(&code, ty);
         let mut rng = SimRng::from_seed(8);
         let windows: Vec<RoundHistory> = (0..16)
             .map(|_| sample_noisy_window(&code, ty, 1e-3, usize::from(d), &mut rng))
@@ -164,14 +164,14 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
             let mut i = 0;
             b.iter(|| {
                 i = (i + 1) % windows.len();
-                black_box(dense.decode_window(&windows[i]))
+                black_box(dense.decode_window_mut(&windows[i]))
             });
         });
         group.bench_with_input(BenchmarkId::new("sparse", d), &d, |b, _| {
             let mut i = 0;
             b.iter(|| {
                 i = (i + 1) % windows.len();
-                black_box(sparse.decode_window(&windows[i]))
+                black_box(sparse.decode_window_mut(&windows[i]))
             });
         });
     }
@@ -191,8 +191,8 @@ fn bench_chained_cluster(c: &mut Criterion) {
     for d in [17u16, 21] {
         let code = SurfaceCode::new(d);
         let ty = StabilizerType::X;
-        let dense = MwpmDecoder::new(&code, ty);
-        let sparse = SparseDecoder::new(&code, ty);
+        let mut dense = MwpmDecoder::new(&code, ty);
+        let mut sparse = SparseDecoder::new(&code, ty);
         let mut rng = SimRng::from_seed(0xC4A1);
         let windows: Vec<RoundHistory> = (0..16)
             .map(|_| sample_noisy_window(&code, ty, 5e-3, usize::from(d), &mut rng))
@@ -201,14 +201,14 @@ fn bench_chained_cluster(c: &mut Criterion) {
             let mut i = 0;
             b.iter(|| {
                 i = (i + 1) % windows.len();
-                black_box(dense.decode_window(&windows[i]))
+                black_box(dense.decode_window_mut(&windows[i]))
             });
         });
         group.bench_with_input(BenchmarkId::new("sparse", d), &d, |b, _| {
             let mut i = 0;
             b.iter(|| {
                 i = (i + 1) % windows.len();
-                black_box(sparse.decode_window(&windows[i]))
+                black_box(sparse.decode_window_mut(&windows[i]))
             });
         });
     }
@@ -279,7 +279,7 @@ fn bench_mwpm_events(c: &mut Criterion) {
     let mut group = c.benchmark_group("mwpm_decode_events");
     group.sample_size(30);
     let code = SurfaceCode::new(11);
-    let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+    let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
     let n_anc = code.num_ancillas(StabilizerType::X);
     for events in [4usize, 12, 24, 48] {
         let mut rng = SimRng::from_seed(4);
@@ -287,7 +287,7 @@ fn bench_mwpm_events(c: &mut Criterion) {
             .map(|_| DetectionEvent { ancilla: rng.below(n_anc), round: rng.below(11) })
             .collect();
         group.bench_with_input(BenchmarkId::from_parameter(events), &events, |b, _| {
-            b.iter(|| black_box(decoder.decode_events(&evs)));
+            b.iter(|| black_box(decoder.decode_events_mut(&evs)));
         });
     }
     group.finish();

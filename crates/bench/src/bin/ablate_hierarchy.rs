@@ -13,29 +13,17 @@ use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_mwpm::MwpmDecoder;
 use btwc_noise::{SimRng, SparseFlips};
 use btwc_sim::ErrorTracker;
-use btwc_syndrome::{Correction, RoundHistory};
+use btwc_syndrome::{ComplexDecoder, RoundHistory};
 use btwc_uf::UnionFindDecoder;
-
-enum Tier<'a> {
-    Mwpm(&'a MwpmDecoder),
-    Uf(&'a UnionFindDecoder),
-}
-
-impl Tier<'_> {
-    fn decode(&self, w: &RoundHistory) -> Correction {
-        match self {
-            Tier::Mwpm(d) => d.decode_window(w),
-            Tier::Uf(d) => d.decode_window(w),
-        }
-    }
-}
 
 fn measure(d: u16, p: f64, shots: u64, tier_is_uf: bool, seed: u64) -> (f64, f64) {
     let ty = StabilizerType::X;
     let code = SurfaceCode::new(d);
-    let mwpm = MwpmDecoder::new(&code, ty);
-    let uf = UnionFindDecoder::new(&code, ty);
-    let tier = if tier_is_uf { Tier::Uf(&uf) } else { Tier::Mwpm(&mwpm) };
+    let mut tier: Box<dyn ComplexDecoder> = if tier_is_uf {
+        Box::new(UnionFindDecoder::new(&code, ty))
+    } else {
+        Box::new(MwpmDecoder::new(&code, ty))
+    };
     let mut tracker = ErrorTracker::new(&code, ty);
     let n_anc = code.num_ancillas(ty);
     let n_data = code.num_data_qubits();
@@ -60,7 +48,7 @@ fn measure(d: u16, p: f64, shots: u64, tier_is_uf: bool, seed: u64) -> (f64, f64
         }
         window.push_packed(tracker.syndrome());
         let t0 = Instant::now();
-        let c = tier.decode(&window);
+        let c = tier.decode_window_mut(&window);
         decode_time += t0.elapsed();
         tracker.apply(c.qubits());
         fails += u64::from(code.is_logical_error(ty, tracker.errors()));

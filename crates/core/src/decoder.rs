@@ -184,13 +184,21 @@ impl DecoderStats {
     }
 }
 
-/// Builder for [`BtwcDecoder`] (filter depth, window size, complex
-/// decoder choice).
+/// Off-chip decode-window capacity in rounds for `code`: `4 · max(d, 4)`.
+/// The one sizing rule of every tier that keeps a decode window — the
+/// per-qubit pipeline, the machine, the lifetime simulation (through
+/// [`BtwcDecoder`]) and the decode farm's receive windows.
+#[must_use]
+pub fn window_rounds(code: &SurfaceCode) -> usize {
+    usize::from(code.distance()).max(4) * 4
+}
+
+/// Builder for [`BtwcDecoder`] (filter depth, complex decoder choice).
+/// The decode window holds [`window_rounds`] rounds.
 pub struct BtwcBuilder<'a> {
     code: &'a SurfaceCode,
     ty: StabilizerType,
     clique_rounds: usize,
-    window_rounds: usize,
     backend: DecoderBackend,
 }
 
@@ -199,7 +207,6 @@ impl std::fmt::Debug for BtwcBuilder<'_> {
         f.debug_struct("BtwcBuilder")
             .field("ty", &self.ty)
             .field("clique_rounds", &self.clique_rounds)
-            .field("window_rounds", &self.window_rounds)
             .field("backend", &self.backend)
             .finish()
     }
@@ -207,13 +214,7 @@ impl std::fmt::Debug for BtwcBuilder<'_> {
 
 impl<'a> BtwcBuilder<'a> {
     fn new(code: &'a SurfaceCode, ty: StabilizerType) -> Self {
-        Self {
-            code,
-            ty,
-            clique_rounds: 2,
-            window_rounds: usize::from(code.distance()).max(4) * 4,
-            backend: DecoderBackend::default(),
-        }
+        Self { code, ty, clique_rounds: 2, backend: DecoderBackend::default() }
     }
 
     /// Sets the Clique sticky-filter depth (default 2).
@@ -225,18 +226,6 @@ impl<'a> BtwcBuilder<'a> {
     pub fn clique_rounds(mut self, rounds: usize) -> Self {
         assert!(rounds >= 1, "sticky filter needs at least one round");
         self.clique_rounds = rounds;
-        self
-    }
-
-    /// Sets the off-chip window capacity in rounds (default `4d`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[must_use]
-    pub fn window_rounds(mut self, rounds: usize) -> Self {
-        assert!(rounds >= 1, "window needs at least one round");
-        self.window_rounds = rounds;
         self
     }
 
@@ -257,7 +246,7 @@ impl<'a> BtwcBuilder<'a> {
         BtwcDecoder {
             frontend,
             complex: self.backend.build(self.code, self.ty),
-            window: RoundHistory::new(n_anc, self.window_rounds),
+            window: RoundHistory::new(n_anc, window_rounds(self.code)),
             stats: DecoderStats::default(),
             scratch: PackedBits::new(n_anc),
         }
@@ -427,7 +416,7 @@ mod tests {
     fn null_backend() -> DecoderBackend {
         struct NullDecoder;
         impl ComplexDecoder for NullDecoder {
-            fn decode_window(&self, _w: &RoundHistory) -> Correction {
+            fn decode_window_mut(&mut self, _w: &RoundHistory) -> Correction {
                 Correction::from_flips(vec![99])
             }
         }
@@ -508,10 +497,7 @@ mod tests {
     #[test]
     fn builder_knobs_are_respected() {
         let code = SurfaceCode::new(5);
-        let mut dec = BtwcDecoder::builder(&code, StabilizerType::X)
-            .clique_rounds(3)
-            .window_rounds(6)
-            .build();
+        let mut dec = BtwcDecoder::builder(&code, StabilizerType::X).clique_rounds(3).build();
         let mut errors = vec![false; code.num_data_qubits()];
         errors[12] = true;
         let round = round_for(&code, &errors);

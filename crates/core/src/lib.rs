@@ -40,16 +40,14 @@
 mod decoder;
 mod dual;
 mod machine;
-mod prefilter;
 mod service;
 
 pub use decoder::{
-    BackendFactory, BtwcBuilder, BtwcDecoder, BtwcOutcome, ComplexDecoder, DecoderBackend,
-    DecoderStats,
+    window_rounds, BackendFactory, BtwcBuilder, BtwcDecoder, BtwcOutcome, ComplexDecoder,
+    DecoderBackend, DecoderStats,
 };
 pub use dual::{DualBtwcDecoder, DualOutcome};
 pub use machine::{BtwcMachine, MachineBuilder, MachineCycle, MachineStats, TransportStats};
-pub use prefilter::{PrefilterModel, PrefilterReport};
 pub use service::{EscalationJob, PendingCycle, RejectReason, ServiceResponse};
 
 // Re-export the vocabulary types users need to drive the system.

@@ -37,8 +37,12 @@ use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_syndrome::{BatchHistory, PackedBits, RoundHistory, SyndromeBatch};
 use btwc_telemetry::{Counter, CounterFamily, Domain, Histogram, MetricsRegistry, SpanTimer};
 
-use crate::decoder::{BtwcOutcome, ComplexDecoder, DecoderBackend, DecoderStats};
+use crate::decoder::{window_rounds, BtwcOutcome, ComplexDecoder, DecoderBackend, DecoderStats};
 use crate::service::{EscalationJob, PendingCycle, ServiceResponse};
+
+/// Base NACK/timeout backoff in cycles before a retransmit; doubles per
+/// retry.
+const RETRY_TIMEOUT_CYCLES: u64 = 4;
 
 /// What happened across the whole machine in one cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,8 +228,9 @@ struct QubitCounters {
     degraded: u64,
 }
 
-/// Builder for [`BtwcMachine`] (filter depth, window size, backend,
-/// link bandwidth).
+/// Builder for [`BtwcMachine`] (filter depth, backend, link bandwidth,
+/// link faults). The decode window holds [`crate::window_rounds`]
+/// rounds.
 #[derive(Debug)]
 pub struct MachineBuilder<'a> {
     code: &'a SurfaceCode,
@@ -233,13 +238,11 @@ pub struct MachineBuilder<'a> {
     num_qubits: usize,
     bandwidth: usize,
     clique_rounds: usize,
-    window_rounds: usize,
     backend: DecoderBackend,
     telemetry: Option<MetricsRegistry>,
     fault_model: LinkFaultModel,
     link_seed: u64,
     max_retries: usize,
-    retry_timeout_cycles: u64,
     deadline_cycles: u64,
 }
 
@@ -251,13 +254,11 @@ impl<'a> MachineBuilder<'a> {
             num_qubits,
             bandwidth,
             clique_rounds: 2,
-            window_rounds: usize::from(code.distance()).max(4) * 4,
             backend: DecoderBackend::default(),
             telemetry: None,
             fault_model: LinkFaultModel::none(),
             link_seed: 0xB7C2,
             max_retries: 4,
-            retry_timeout_cycles: 4,
             deadline_cycles: 64,
         }
     }
@@ -271,18 +272,6 @@ impl<'a> MachineBuilder<'a> {
     pub fn clique_rounds(mut self, rounds: usize) -> Self {
         assert!(rounds >= 1, "sticky filter needs at least one round");
         self.clique_rounds = rounds;
-        self
-    }
-
-    /// Sets the off-chip window capacity in rounds (default `4d`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[must_use]
-    pub fn window_rounds(mut self, rounds: usize) -> Self {
-        assert!(rounds >= 1, "window needs at least one round");
-        self.window_rounds = rounds;
         self
     }
 
@@ -330,19 +319,6 @@ impl<'a> MachineBuilder<'a> {
         self
     }
 
-    /// Base NACK/timeout backoff in cycles; doubles per retry
-    /// (default 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles == 0` (the backoff must make progress).
-    #[must_use]
-    pub fn retry_timeout_cycles(mut self, cycles: u64) -> Self {
-        assert!(cycles > 0, "retry timeout must be positive");
-        self.retry_timeout_cycles = cycles;
-        self
-    }
-
     /// Total cycles an escalation may spend waiting on transport
     /// (backoff + delay jitter; queue service time is excluded) before
     /// it degrades (default 64).
@@ -361,23 +337,24 @@ impl<'a> MachineBuilder<'a> {
     pub fn build(self) -> BtwcMachine {
         assert!(self.num_qubits > 0, "need at least one logical qubit");
         let n_anc = self.code.num_ancillas(self.ty);
+        let window_rounds = window_rounds(self.code);
         let frontend =
             BatchFrontend::with_rounds(self.code, self.ty, self.num_qubits, self.clique_rounds);
         let emergency = frontend.decoder().clone();
         let mut machine = BtwcMachine {
             num_qubits: self.num_qubits,
             num_ancillas: n_anc,
-            window_rounds: self.window_rounds,
+            window_rounds,
             frontend,
-            window_ring: BatchHistory::new(self.num_qubits, n_anc, self.window_rounds),
+            window_ring: BatchHistory::new(self.num_qubits, n_anc, window_rounds),
             window_len: vec![0; self.num_qubits],
             pending: PackedBits::new(self.num_qubits),
             raw_active: PackedBits::new(self.num_qubits),
             work: PackedBits::new(self.num_qubits),
             offchip: self.backend.build(self.code, self.ty),
             backend_name: self.backend.name(),
-            window: RoundHistory::new(n_anc, self.window_rounds),
-            wire: RoundHistory::new(n_anc, self.window_rounds),
+            window: RoundHistory::new(n_anc, window_rounds),
+            wire: RoundHistory::new(n_anc, window_rounds),
             queue: QueueSim::new(self.bandwidth),
             stalled: false,
             counters: MachineCounters::default(),
@@ -391,7 +368,6 @@ impl<'a> MachineBuilder<'a> {
             next_seq: vec![0; self.num_qubits],
             trackers: (0..self.num_qubits).map(|_| SequenceTracker::new()).collect(),
             max_retries: self.max_retries,
-            retry_timeout_cycles: self.retry_timeout_cycles,
             deadline_cycles: self.deadline_cycles,
         };
         if let Some(registry) = &self.telemetry {
@@ -461,7 +437,6 @@ pub struct BtwcMachine {
     /// Receiver-side per-qubit duplicate/reorder detection.
     trackers: Vec<SequenceTracker>,
     max_retries: usize,
-    retry_timeout_cycles: u64,
     deadline_cycles: u64,
     /// FIFO mirror of the link queue's membership: the qubit behind
     /// each waiting request, in service order — what per-qubit stall
@@ -706,7 +681,6 @@ impl BtwcMachine {
         let backlog_pre = self.queue.backlog() as u64;
         let link_bandwidth = self.queue.bandwidth() as u64;
         let max_retries = self.max_retries;
-        let retry_timeout_cycles = self.retry_timeout_cycles;
         let deadline_cycles = self.deadline_cycles;
         let Self {
             frontend,
@@ -828,7 +802,7 @@ impl BtwcMachine {
                     }
                     // Cycle-domain NACK/timeout backoff before the
                     // retransmit: exponential, bounded by the deadline.
-                    wait_cycles += retry_timeout_cycles << (attempts - 1).min(32);
+                    wait_cycles += RETRY_TIMEOUT_CYCLES << (attempts - 1).min(32);
                     if wait_cycles > deadline_cycles {
                         break None;
                     }
@@ -984,15 +958,6 @@ impl BtwcMachine {
         let cycle = self.step(&batch);
         self.ingest = Some(batch);
         cycle
-    }
-
-    /// Clears the filter pipeline and every window (not the counters,
-    /// the queue, or the stall state).
-    pub fn reset_pipelines(&mut self) {
-        self.frontend.reset();
-        self.window_ring.reset();
-        self.window_len.fill(0);
-        self.pending.clear();
     }
 }
 

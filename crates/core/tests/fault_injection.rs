@@ -1,6 +1,6 @@
 //! Fault-tolerant transport acceptance pins.
 //!
-//! Three guarantees from the robustness rework:
+//! Two guarantees from the robustness rework:
 //!
 //! 1. **Zero-fault differential pin** — a machine built with the
 //!    default (fault-free) link is bit-identical — per-cycle outcomes,
@@ -13,19 +13,16 @@
 //!    receiver-side [`btwc_core::TransportStats`] match the link's
 //!    injected-fault ground truth one for one, and every escalation
 //!    resolves as either an off-chip commit or a counted degradation.
-//! 3. **Determinism** — the faulty-link path is bit-reproducible
-//!    across `BTWC_WORKERS`-style worker counts (the link RNG is
-//!    stepped serially by the machine, never by the pool).
-
-use std::sync::Arc;
+//!
+//! The faulty-link path is bit-reproducible at equal seed (the link RNG
+//! is stepped serially by the machine); `btwc-sim`'s
+//! `fault_sweep_is_deterministic_and_meters_degradation` pins that.
 
 use btwc_core::{
-    BtwcMachine, BtwcOutcome, ComplexDecoder, DecoderBackend, DecoderStats, LinkFaultModel,
-    MachineCycle, MachineStats, SparseDecoder, StabilizerType, SurfaceCode, SyndromeBatch,
-    TransportStats,
+    BtwcMachine, BtwcOutcome, DecoderBackend, DecoderStats, LinkFaultModel, MachineCycle,
+    MachineStats, StabilizerType, SurfaceCode, SyndromeBatch, TransportStats,
 };
 use btwc_noise::{PhenomenologicalNoise, SimRng};
-use btwc_pool::Pool;
 use btwc_telemetry::{Domain, MetricsRegistry};
 use btwc_testutil::noisy_round;
 
@@ -246,44 +243,4 @@ fn hostile_link_never_wedges_the_machine() {
     }
     assert_eq!(machine.stats().backlog, 0, "quiet tail must drain the link");
     assert!(!machine.is_stalled());
-}
-
-#[test]
-fn faulty_transport_is_deterministic_across_worker_counts() {
-    // The pooled sparse backend is the one machine component that runs
-    // on a worker pool; the link RNG must not see the worker count.
-    fn pooled_sparse<const W: usize>(
-        code: &SurfaceCode,
-        ty: StabilizerType,
-    ) -> Box<dyn ComplexDecoder + Send + Sync> {
-        Box::new(SparseDecoder::new(code, ty).with_pool(Arc::new(Pool::new(W))))
-    }
-    let backends = [
-        DecoderBackend::Custom { name: "sparse-pooled", build: pooled_sparse::<1> },
-        DecoderBackend::Custom { name: "sparse-pooled", build: pooled_sparse::<2> },
-        DecoderBackend::Custom { name: "sparse-pooled", build: pooled_sparse::<8> },
-    ];
-    let code = SurfaceCode::new(D);
-    let ty = StabilizerType::X;
-    let mut reference = None;
-    for backend in backends {
-        let registry = MetricsRegistry::new();
-        let mut machine = BtwcMachine::builder(&code, ty, NUM_QUBITS, BANDWIDTH)
-            .backend(backend)
-            .fault_model(LinkFaultModel::uniform(0.12))
-            .link_seed(0x5EED)
-            .telemetry(&registry)
-            .build();
-        let got = drive(&mut machine, &registry, &code, 900, 8e-3, 0x77);
-        assert!(got.2.retransmitted_frames > 0, "pin needs real fault traffic");
-        match &reference {
-            None => reference = Some(got),
-            Some(r) => {
-                assert_eq!(&got.0, &r.0, "outcomes diverged across worker counts");
-                assert_eq!(&got.1, &r.1, "stats diverged across worker counts");
-                assert_eq!(&got.2, &r.2, "transport stats diverged across worker counts");
-                assert_eq!(&got.4, &r.4, "telemetry diverged across worker counts");
-            }
-        }
-    }
 }

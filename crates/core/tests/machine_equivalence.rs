@@ -27,7 +27,7 @@ struct EventParityDecoder {
 }
 
 impl ComplexDecoder for EventParityDecoder {
-    fn decode_window(&self, window: &RoundHistory) -> Correction {
+    fn decode_window_mut(&mut self, window: &RoundHistory) -> Correction {
         let events = window.detection_events();
         if events.is_empty() {
             return Correction::new();

@@ -1,5 +1,5 @@
-//! The [`DecodeFarm`] service: admission control, slot batching, and
-//! telemetry aggregation. This file is on the analyzer's PANIC-HOT list
+//! The [`DecodeFarm`] service: admission control, per-slot decode
+//! groups, and telemetry aggregation. This file is on the analyzer's PANIC-HOT list
 //! — the dispatch path must stay free of `unwrap`/`expect`/`panic!`.
 
 use btwc_core::{
@@ -49,10 +49,6 @@ pub struct FarmConfig {
     /// admitted job at queue position `p` is charged `p / service_rate`
     /// cycles of queueing delay.
     pub service_rate: u64,
-    /// Latency-driven shedding: while the farm's escalation-latency p99
-    /// exceeds this bound (in cycles), the effective queue capacity is
-    /// halved. `None` disables shedding.
-    pub latency_shed_p99: Option<u64>,
     /// Export every tenant's cycle-domain snapshot every this many farm
     /// cycles. `None` disables exports.
     pub snapshot_cadence: Option<u64>,
@@ -61,7 +57,7 @@ pub struct FarmConfig {
 impl FarmConfig {
     /// A service so over-provisioned it is invisible: effectively
     /// unbounded queue, one-cycle drain of any realistic burst, no
-    /// shedding, no exports. Under this configuration every job is
+    /// exports. Under this configuration every job is
     /// admitted with zero modeled delay, so farm outcomes are
     /// bit-identical to the inline machine loop — the configuration the
     /// conformance harness pins.
@@ -70,7 +66,6 @@ impl FarmConfig {
         FarmConfig {
             queue_capacity: u64::MAX >> 1,
             service_rate: u64::MAX >> 1,
-            latency_shed_p99: None,
             snapshot_cadence: None,
         }
     }
@@ -79,7 +74,7 @@ impl FarmConfig {
     /// draining `service_rate` per cycle.
     #[must_use]
     pub fn bounded(queue_capacity: u64, service_rate: u64) -> Self {
-        FarmConfig { queue_capacity, service_rate, latency_shed_p99: None, snapshot_cadence: None }
+        FarmConfig { queue_capacity, service_rate, snapshot_cadence: None }
     }
 }
 
@@ -98,7 +93,6 @@ struct FarmMetrics {
     escalation_latency: Histogram,
     rejected_queue_full: Counter,
     rejected_deadline: Counter,
-    shed_cycles: Counter,
     queue_depth: Gauge,
     queue_depth_hist: Histogram,
 }
@@ -114,7 +108,6 @@ impl FarmMetrics {
             escalation_latency: registry.histogram("farm.escalation_latency", d),
             rejected_queue_full: registry.counter("farm.rejected_queue_full", d),
             rejected_deadline: registry.counter("farm.rejected_deadline", d),
-            shed_cycles: registry.counter("farm.shed_cycles", d),
             queue_depth: registry.gauge("farm.queue_depth", d),
             queue_depth_hist: registry.histogram("farm.queue_depth_hist", d),
         }
@@ -128,12 +121,10 @@ struct DecoderSlot {
     distance: u16,
     ty: StabilizerType,
     decoder: Box<dyn ComplexDecoder + Send + Sync>,
-    /// Scratch receive windows, one per simultaneous job; grown on
-    /// demand so a burst of `k` escalations replays into `k` windows
-    /// before the single batched decode.
-    wires: Vec<RoundHistory>,
-    num_ancillas: usize,
-    window_rounds: usize,
+    /// The receive window each admitted job is replayed into just
+    /// before its decode; as wide as the widest window any tenant of
+    /// the slot replays.
+    wire: RoundHistory,
 }
 
 struct Tenant {
@@ -142,7 +133,7 @@ struct Tenant {
     registry: MetricsRegistry,
 }
 
-/// A job admitted this cycle, waiting for its slot's batched decode.
+/// A job admitted this cycle, waiting for its slot's decode group.
 struct Admitted<'a> {
     /// Submission index (position in the `service_cycle` argument).
     sub: usize,
@@ -194,10 +185,10 @@ impl DecodeFarm {
     /// Registers a machine as a tenant.
     ///
     /// Tenants with the same (backend, distance, stabilizer) shape
-    /// share one decoder slot — their simultaneous escalations batch
-    /// into a single [`ComplexDecoder::decode_batch_mut`] call. The
-    /// tenant's `registry` is retained for cadence exports and
-    /// [`DecodeFarm::aggregate_snapshot`].
+    /// share one decoder slot — their simultaneous escalations form one
+    /// decode group, decoded in submission order on the slot's
+    /// decoder. The tenant's `registry` is retained for cadence exports
+    /// and [`DecodeFarm::aggregate_snapshot`].
     pub fn register_tenant(
         &mut self,
         name: &str,
@@ -210,11 +201,10 @@ impl DecodeFarm {
         let key = (backend.name(), code.distance(), ty);
         let slot = match self.slots.iter().position(|s| (s.backend, s.distance, s.ty) == key) {
             Some(i) => {
-                // Widen the shared scratch windows to the largest
+                // Widen the shared receive window to the largest
                 // window any tenant of this slot replays.
-                if window_rounds > self.slots[i].window_rounds {
-                    self.slots[i].window_rounds = window_rounds;
-                    self.slots[i].wires.clear();
+                if window_rounds > self.slots[i].wire.capacity() {
+                    self.slots[i].wire = RoundHistory::new(code.num_ancillas(ty), window_rounds);
                 }
                 i
             }
@@ -224,9 +214,7 @@ impl DecodeFarm {
                     distance: code.distance(),
                     ty,
                     decoder: backend.build(code, ty),
-                    wires: Vec::new(),
-                    num_ancillas: code.num_ancillas(ty),
-                    window_rounds,
+                    wire: RoundHistory::new(code.num_ancillas(ty), window_rounds),
                 });
                 self.slots.len() - 1
             }
@@ -242,22 +230,17 @@ impl DecodeFarm {
     /// Admission is decided job-by-job in submission order (the modeled
     /// queue position is backlog + jobs already admitted this cycle),
     /// so the responses — and every cycle-domain metric they update —
-    /// are bit-identical for any `BTWC_WORKERS` and pool mode: only the
-    /// already-admitted batched decodes fan out across workers, and
-    /// each decode depends only on its own window contents.
+    /// are bit-identical for any `BTWC_WORKERS`: only the
+    /// already-admitted decode groups fan out across workers (one task
+    /// per slot), and each decode depends only on its own window
+    /// contents.
     pub fn service_cycle(
         &mut self,
         submissions: &[TenantSubmission<'_>],
     ) -> Vec<Vec<ServiceResponse>> {
         self.cycle += 1;
         let rate = self.config.service_rate.max(1);
-        let capacity = match self.config.latency_shed_p99 {
-            Some(bound) if self.metrics.escalation_latency.percentile(99) > bound => {
-                self.metrics.shed_cycles.inc();
-                (self.config.queue_capacity / 2).max(1)
-            }
-            _ => self.config.queue_capacity,
-        };
+        let capacity = self.config.queue_capacity;
 
         // Admission pass: sequential, in submission order.
         let mut responses: Vec<Vec<ServiceResponse>> = Vec::with_capacity(submissions.len());
@@ -303,7 +286,7 @@ impl DecodeFarm {
             responses.push(out);
         }
 
-        // Dispatch pass: one batched decode per active slot, slots in
+        // Dispatch pass: one decode group per active slot, slots in
         // parallel on the pool. Corrections land in `corrections[slot]`
         // aligned with `groups[slot]`.
         let mut corrections: Vec<Vec<Correction>> = self.slots.iter().map(|_| Vec::new()).collect();
@@ -412,8 +395,8 @@ impl DecodeFarm {
     }
 }
 
-/// Replays a slot's admitted jobs into its scratch windows and resolves
-/// them with one batched decode.
+/// Replays each of a slot's admitted jobs into its receive window and
+/// decodes it, in admission order.
 fn decode_group(
     slot: &mut DecoderSlot,
     group: &[Admitted<'_>],
@@ -422,19 +405,18 @@ fn decode_group(
 ) {
     metrics.batches.inc();
     metrics.batch_size.record(group.len() as u64);
-    // Widen first if some request carries more rounds than the
-    // registered window (replay_into asserts capacity).
-    let need = group.iter().map(|a| a.job.request().rounds.len()).max().unwrap_or(0);
-    if need > slot.window_rounds {
-        slot.window_rounds = need;
-        slot.wires.clear();
-    }
-    while slot.wires.len() < group.len() {
-        slot.wires.push(RoundHistory::new(slot.num_ancillas, slot.window_rounds));
-    }
-    for (wire, admitted) in slot.wires.iter_mut().zip(group) {
-        admitted.job.request().replay_into(wire);
-    }
-    let windows: Vec<&RoundHistory> = slot.wires.iter().take(group.len()).collect();
-    *out = slot.decoder.decode_batch_mut(&windows);
+    let DecoderSlot { decoder, wire, .. } = slot;
+    *out = group
+        .iter()
+        .map(|admitted| {
+            let request = admitted.job.request();
+            // Widen first if this request carries more rounds than the
+            // window holds (replay_into asserts capacity).
+            if request.rounds.len() > wire.capacity() {
+                *wire = RoundHistory::new(wire.num_ancillas(), request.rounds.len());
+            }
+            request.replay_into(wire);
+            decoder.decode_window_mut(wire)
+        })
+        .collect();
 }

@@ -16,14 +16,13 @@
 //! * applies **admission control** against a bounded queue — a job is
 //!   rejected `QueueFull` when the (modeled) backlog reaches capacity,
 //!   or `DeadlineExceeded` when its modeled queueing delay would blow
-//!   the escalation's remaining cycle-deadline budget; when the farm's
-//!   escalation-latency histogram's p99 exceeds the configured shed
-//!   threshold, the effective capacity halves (latency-driven
-//!   backpressure);
-//! * **batches** simultaneous escalations for the same
-//!   backend/distance/stabilizer into one
-//!   [`ComplexDecoder::decode_batch_mut`] call (bit-identical to `k`
-//!   individual decodes — pinned by this crate's proptest), dispatching
+//!   the escalation's remaining cycle-deadline budget;
+//! * **groups** simultaneous escalations for the same
+//!   backend/distance/stabilizer on one shared decoder slot, which
+//!   replays each job into its receive window and decodes it with
+//!   [`ComplexDecoder::decode_window_mut`] in admission order (a reused
+//!   decoder decodes every window exactly as a fresh one would —
+//!   pinned by this crate's `batching` proptest), dispatching
 //!   independent decoder slots in parallel on the workspace [`Pool`]'s
 //!   persistent workers;
 //! * models **queueing like [`QueueSim`]** does for the link: decodes
@@ -51,7 +50,7 @@
 //! [`BtwcMachine::complete`]: btwc_core::BtwcMachine::complete
 //! [`EscalationJob`]: btwc_core::EscalationJob
 //! [`ServiceResponse`]: btwc_core::ServiceResponse
-//! [`ComplexDecoder::decode_batch_mut`]: btwc_core::ComplexDecoder
+//! [`ComplexDecoder::decode_window_mut`]: btwc_core::ComplexDecoder::decode_window_mut
 //! [`QueueSim`]: btwc_bandwidth::QueueSim
 //! [`Pool`]: btwc_pool::Pool
 //! [`MetricsRegistry`]: btwc_telemetry::MetricsRegistry

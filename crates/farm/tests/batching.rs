@@ -1,12 +1,25 @@
-//! The batching seam's contract, property-tested: grouping `k`
-//! simultaneous escalations into one [`ComplexDecoder::decode_batch_mut`]
-//! call is bit-identical to `k` individual
-//! [`ComplexDecoder::decode_window_mut`] calls in the same order —
-//! flips, weights, and counts must not depend on the grouping, for
-//! every builtin backend, including the `k = 1` fast path.
+//! Batching on a shared decoder slot. The farm decodes a cycle's batch
+//! of `k` same-slot escalations as `k` successive
+//! [`ComplexDecoder::decode_window_mut`] calls on one reused decoder, so
+//! for every builtin backend:
+//!
+//! * each call must be bit-identical to a decode on a brand-new decoder
+//!   (property-tested: no decoder carries state from one window to the
+//!   next), and
+//! * each job's farm response must be exactly that fresh decode of its
+//!   replayed request, including when the request is wider than the
+//!   slot's receive window.
+//!
+//! [`ComplexDecoder::decode_window_mut`]: btwc_core::ComplexDecoder::decode_window_mut
 
-use btwc_core::{DecoderBackend, StabilizerType, SurfaceCode};
+use btwc_core::{
+    BtwcMachine, DecoderBackend, ServiceResponse, StabilizerType, SurfaceCode, SyndromeBatch,
+};
+use btwc_farm::{DecodeFarm, FarmConfig, TenantSubmission};
+use btwc_noise::{SimRng, SparseFlips};
+use btwc_pool::Pool;
 use btwc_syndrome::RoundHistory;
+use btwc_telemetry::MetricsRegistry;
 use proptest::prelude::*;
 
 const BACKENDS: [DecoderBackend; 4] = [
@@ -48,27 +61,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn batched_decode_is_bit_identical_to_individual_calls(windows in windows_strategy()) {
-        let ty = StabilizerType::X;
-        let code = SurfaceCode::new(3);
-        let hists = histories(&windows, code.num_ancillas(ty));
-        let refs: Vec<&RoundHistory> = hists.iter().collect();
-        for backend in BACKENDS {
-            // One batched call on a fresh decoder…
-            let mut batched = backend.build(&code, ty);
-            let got = batched.decode_batch_mut(&refs);
-            // …versus k individual calls on another fresh decoder.
-            let mut individual = backend.build(&code, ty);
-            let want: Vec<_> = refs.iter().map(|w| individual.decode_window_mut(w)).collect();
-            prop_assert_eq!(got.len(), refs.len(), "{}: one correction per window", backend.name());
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert_eq!(g.qubits(), w.qubits(), "{} window {k}: flips differ", backend.name());
-                prop_assert_eq!(g.weight(), w.weight(), "{} window {k}: weight differs", backend.name());
-            }
-        }
-    }
-
-    #[test]
     fn batching_leaks_no_state_between_windows(windows in windows_strategy()) {
         // Each window of the batch must decode as if it were the
         // decoder's only input ever: compare against a brand-new
@@ -76,40 +68,67 @@ proptest! {
         let ty = StabilizerType::X;
         let code = SurfaceCode::new(3);
         let hists = histories(&windows, code.num_ancillas(ty));
-        let refs: Vec<&RoundHistory> = hists.iter().collect();
         for backend in BACKENDS {
-            let mut batched = backend.build(&code, ty);
-            let got = batched.decode_batch_mut(&refs);
-            for (k, (g, w)) in got.iter().zip(&refs).enumerate() {
-                let fresh = backend.build(&code, ty).decode_window(w);
+            let mut reused = backend.build(&code, ty);
+            for (k, w) in hists.iter().enumerate() {
+                let got = reused.decode_window_mut(w);
+                let fresh = backend.build(&code, ty).decode_window_mut(w);
                 prop_assert_eq!(
-                    g.qubits(),
+                    got.qubits(),
                     fresh.qubits(),
                     "{} window {k}: batch position changed the result",
                     backend.name()
                 );
+                prop_assert_eq!(got.weight(), fresh.weight(), "{} window {k}", backend.name());
             }
         }
     }
 }
 
-/// The `k = 1` fast path, pinned explicitly: a singleton batch is the
-/// plain window decode.
+/// Drives one open-loop noisy machine (corrections are never applied,
+/// so escalations keep coming) through a farm whose slot was registered
+/// one round wide: every job widens the receive window before its
+/// replay, and every response must equal a fresh decoder's decode of
+/// the job's request.
 #[test]
-fn singleton_batch_is_the_plain_window_decode() {
+fn batched_decode_is_bit_identical_to_individual_calls() {
+    const QUBITS: usize = 8;
     let ty = StabilizerType::X;
     let code = SurfaceCode::new(3);
-    let n_anc = code.num_ancillas(ty);
-    let mut h = RoundHistory::new(n_anc, WINDOW_CAPACITY);
-    h.push(&[true, false, false, true]);
-    h.push(&[true, true, false, false]);
-    h.push(&[false, true, false, true]);
+    let (n_data, n_anc) = (code.num_data_qubits(), code.num_ancillas(ty));
     for backend in BACKENDS {
-        let mut batched = backend.build(&code, ty);
-        let got = batched.decode_batch_mut(&[&h]);
-        let mut single = backend.build(&code, ty);
-        let want = single.decode_window_mut(&h);
-        assert_eq!(got.len(), 1, "{}", backend.name());
-        assert_eq!(got[0], want, "{}", backend.name());
+        let mut machine = BtwcMachine::builder(&code, ty, QUBITS, QUBITS).backend(backend).build();
+        let mut farm = DecodeFarm::new(Pool::new(1), FarmConfig::generous());
+        let tenant = farm.register_tenant("t", &code, ty, &backend, 1, &MetricsRegistry::new());
+        let mut rng = SimRng::from_seed(0xBA7C);
+        let mut errors = vec![vec![false; n_data]; QUBITS];
+        let mut batch = SyndromeBatch::new(QUBITS, n_anc);
+        let mut multi_job_cycles = 0;
+        for _ in 0..200 {
+            for (q, errors) in errors.iter_mut().enumerate() {
+                for flip in SparseFlips::new(&mut rng, n_data, 2e-2) {
+                    errors[flip] ^= true;
+                }
+                batch.set_qubit_round_bools(q, &code.syndrome_of(ty, errors));
+            }
+            let pending = machine.step_deferred(&batch);
+            let jobs = pending.jobs();
+            multi_job_cycles += usize::from(jobs.len() > 1);
+            let responses = farm.service_cycle(&[TenantSubmission { tenant, jobs }]).remove(0);
+            for (job, response) in jobs.iter().zip(&responses) {
+                let request = job.request();
+                let mut window = RoundHistory::new(n_anc, request.rounds.len());
+                request.replay_into(&mut window);
+                let want = backend.build(&code, ty).decode_window_mut(&window);
+                match response {
+                    ServiceResponse::Decoded { correction, .. } => {
+                        assert_eq!(correction, &want, "{}: farm decode differs", backend.name());
+                    }
+                    other => panic!("{}: generous farm rejected a job: {other:?}", backend.name()),
+                }
+            }
+            let _ = machine.complete(pending, responses);
+        }
+        assert!(multi_job_cycles > 0, "{}: no cycle batched two jobs", backend.name());
     }
 }

@@ -66,14 +66,14 @@ impl LutDecoder {
             bits <= MAX_LUT_BITS,
             "lookup table for {bits} syndrome bits is impractical (max {MAX_LUT_BITS})"
         );
-        let mwpm = MwpmDecoder::new(code, ty);
+        let mut mwpm = MwpmDecoder::new(code, ty);
         let table = (0..1usize << bits)
             .map(|pattern| {
                 let events: Vec<DetectionEvent> = (0..bits)
                     .filter(|i| (pattern >> i) & 1 == 1)
                     .map(|ancilla| DetectionEvent { ancilla, round: 0 })
                     .collect();
-                mwpm.decode_events(&events)
+                mwpm.decode_events_mut(&events)
             })
             .collect();
         Self { ty, bits, table }
@@ -124,7 +124,7 @@ impl ComplexDecoder for LutDecoder {
     /// Window decoding via the final effective round: the XOR of all
     /// detection events per ancilla (equivalently the latest raw round
     /// relative to the window baseline).
-    fn decode_window(&self, window: &RoundHistory) -> Correction {
+    fn decode_window_mut(&mut self, window: &RoundHistory) -> Correction {
         let mut effective = Syndrome::new(self.bits);
         for ev in window.detection_events() {
             effective.set(ev.ancilla, !effective.get(ev.ancilla));
@@ -180,7 +180,7 @@ mod tests {
         let code = SurfaceCode::new(5);
         let ty = StabilizerType::X;
         let lut = LutDecoder::build(&code, ty);
-        let mwpm = MwpmDecoder::new(&code, ty);
+        let mut mwpm = MwpmDecoder::new(&code, ty);
         // All single- and double-error syndromes agree exactly.
         for q in 0..code.num_data_qubits() {
             let mut errors = vec![false; code.num_data_qubits()];
@@ -188,7 +188,7 @@ mod tests {
             let syndrome = Syndrome::from_bits(code.syndrome_of(ty, &errors));
             let events: Vec<DetectionEvent> =
                 syndrome.iter_set().map(|ancilla| DetectionEvent { ancilla, round: 0 }).collect();
-            assert_eq!(lut.decode(&syndrome), mwpm.decode_events(&events), "qubit {q}");
+            assert_eq!(lut.decode(&syndrome), mwpm.decode_events_mut(&events), "qubit {q}");
         }
     }
 

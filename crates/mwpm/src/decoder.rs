@@ -1,7 +1,5 @@
 //! Space-time MWPM decoding of detection-event windows.
 
-use std::sync::Mutex;
-
 use btwc_lattice::{DetectorGraph, StabilizerType, SurfaceCode};
 use btwc_syndrome::{ComplexDecoder, Correction, DetectionEvent, RoundHistory};
 
@@ -35,11 +33,9 @@ pub struct MwpmDecoder {
     /// solver's dense tables), so the dominant per-decode costs
     /// allocate nothing once warmed up; only the returned
     /// `Correction`'s own storage (and the small `Matching`) is
-    /// allocated per call. Behind a mutex to keep the decoder `Sync`
-    /// with `&self` decode methods; decodes are short and the
-    /// simulators hold one decoder per thread, so the lock is
-    /// uncontended in practice.
-    scratch: Mutex<DecodeScratch>,
+    /// allocated per call. Every decode takes `&mut self`, so it is a
+    /// plain field.
+    scratch: DecodeScratch,
 }
 
 #[derive(Debug, Default)]
@@ -50,11 +46,7 @@ struct DecodeScratch {
 
 impl Clone for MwpmDecoder {
     fn clone(&self) -> Self {
-        Self {
-            ty: self.ty,
-            graph: self.graph.clone(),
-            scratch: Mutex::new(DecodeScratch::default()),
-        }
+        Self { ty: self.ty, graph: self.graph.clone(), scratch: DecodeScratch::default() }
     }
 }
 
@@ -62,11 +54,7 @@ impl MwpmDecoder {
     /// Builds the decoder for stabilizer type `ty` of `code`.
     #[must_use]
     pub fn new(code: &SurfaceCode, ty: StabilizerType) -> Self {
-        Self {
-            ty,
-            graph: code.detector_graph(ty).clone(),
-            scratch: Mutex::new(DecodeScratch::default()),
-        }
+        Self { ty, graph: code.detector_graph(ty).clone(), scratch: DecodeScratch::default() }
     }
 
     /// The stabilizer type this decoder serves.
@@ -81,25 +69,8 @@ impl MwpmDecoder {
     ///
     /// Panics if any event references an out-of-range ancilla.
     #[must_use]
-    pub fn decode_events(&self, events: &[DetectionEvent]) -> Correction {
-        let mut scratch = self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Self::decode_events_with(&self.graph, events, &mut scratch.matching).0
-    }
-
-    /// [`MwpmDecoder::decode_events`] through exclusive access — no
-    /// mutex traffic at all ([`std::sync::Mutex::get_mut`] borrows the
-    /// scratch directly). The Monte Carlo engines own their decoders
-    /// per thread, so this is their path; the locked `&self` form stays
-    /// for shared-reference plumbing (the `ComplexDecoder` trait
-    /// object's `&self` decode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event references an out-of-range ancilla.
-    #[must_use]
     pub fn decode_events_mut(&mut self, events: &[DetectionEvent]) -> Correction {
-        let scratch = self.scratch.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Self::decode_events_with(&self.graph, events, &mut scratch.matching).0
+        self.decode_events_weighted(events).0
     }
 
     /// [`MwpmDecoder::decode_events_mut`] also reporting the total
@@ -111,8 +82,7 @@ impl MwpmDecoder {
     /// Panics if any event references an out-of-range ancilla.
     #[must_use]
     pub fn decode_events_weighted(&mut self, events: &[DetectionEvent]) -> (Correction, i64) {
-        let scratch = self.scratch.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Self::decode_events_with(&self.graph, events, &mut scratch.matching)
+        Self::decode_events_with(&self.graph, events, &mut self.scratch.matching)
     }
 
     /// The decode kernel, reusing caller-provided scratch: the
@@ -164,22 +134,7 @@ impl MwpmDecoder {
     /// of the paper's Fig. 2: raw syndromes are shipped out and matched
     /// in space-time). The detection-event diff lands in a reused
     /// buffer — no per-decode allocation — and windows with no events
-    /// at all are dismissed by a fused XOR+popcount scan before the
-    /// scratch lock is even taken.
-    #[must_use]
-    pub fn decode_window(&self, history: &RoundHistory) -> Correction {
-        if history.detection_event_count() == 0 {
-            return Correction::new();
-        }
-        let mut scratch = self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let DecodeScratch { matching, events } = &mut *scratch;
-        history.detection_events_into(events);
-        Self::decode_events_with(&self.graph, events, matching).0
-    }
-
-    /// [`MwpmDecoder::decode_window`] through exclusive access (see
-    /// [`MwpmDecoder::decode_events_mut`]): the sweep/lifetime loops
-    /// hold one decoder per worker, so they skip the mutex entirely.
+    /// at all are dismissed by the window's O(1) event counter.
     #[must_use]
     pub fn decode_window_mut(&mut self, history: &RoundHistory) -> Correction {
         self.decode_window_weighted(history).0
@@ -192,18 +147,13 @@ impl MwpmDecoder {
         if history.detection_event_count() == 0 {
             return (Correction::new(), 0);
         }
-        let scratch = self.scratch.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let DecodeScratch { matching, events } = &mut *scratch;
+        let DecodeScratch { matching, events } = &mut self.scratch;
         history.detection_events_into(events);
         Self::decode_events_with(&self.graph, events, matching)
     }
 }
 
 impl ComplexDecoder for MwpmDecoder {
-    fn decode_window(&self, window: &RoundHistory) -> Correction {
-        MwpmDecoder::decode_window(self, window)
-    }
-
     fn decode_window_mut(&mut self, window: &RoundHistory) -> Correction {
         MwpmDecoder::decode_window_mut(self, window)
     }
@@ -227,20 +177,20 @@ mod tests {
     #[test]
     fn empty_window_decodes_to_nothing() {
         let code = SurfaceCode::new(5);
-        let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+        let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
         let errors = vec![false; code.num_data_qubits()];
-        let c = decoder.decode_window(&window_for(&code, &errors, 3));
+        let c = decoder.decode_window_mut(&window_for(&code, &errors, 3));
         assert!(c.is_empty());
     }
 
     #[test]
     fn single_interior_error_is_exactly_corrected() {
         let code = SurfaceCode::new(5);
-        let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+        let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
         let q = DataQubit::new(2, 2).index(5);
         let mut errors = vec![false; code.num_data_qubits()];
         errors[q] = true;
-        let c = decoder.decode_window(&window_for(&code, &errors, 2));
+        let c = decoder.decode_window_mut(&window_for(&code, &errors, 2));
         assert_eq!(c.qubits(), &[q]);
     }
 
@@ -248,11 +198,11 @@ mod tests {
     fn every_single_error_is_corrected_equivalently() {
         for d in [3u16, 5, 7] {
             let code = SurfaceCode::new(d);
-            let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+            let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
             for q in 0..code.num_data_qubits() {
                 let mut errors = vec![false; code.num_data_qubits()];
                 errors[q] = true;
-                let c = decoder.decode_window(&window_for(&code, &errors, 2));
+                let c = decoder.decode_window_mut(&window_for(&code, &errors, 2));
                 let mut residual = errors.clone();
                 c.apply_to(&mut residual);
                 assert!(
@@ -271,12 +221,12 @@ mod tests {
     fn chain_of_errors_is_corrected_equivalently() {
         // The Fig. 8c scenario Clique must hand off — MWPM resolves it.
         let code = SurfaceCode::new(9);
-        let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+        let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
         let mut errors = vec![false; code.num_data_qubits()];
         for row in 2..6u16 {
             errors[DataQubit::new(row, 4).index(9)] = true;
         }
-        let c = decoder.decode_window(&window_for(&code, &errors, 2));
+        let c = decoder.decode_window_mut(&window_for(&code, &errors, 2));
         let mut residual = errors.clone();
         c.apply_to(&mut residual);
         assert!(code.syndrome_of(StabilizerType::X, &residual).iter().all(|&s| !s));
@@ -288,7 +238,7 @@ mod tests {
         // Fig. 8d: a transient flip makes a time-like event pair, which
         // projects to no data correction at all.
         let code = SurfaceCode::new(5);
-        let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+        let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
         let n_anc = code.num_ancillas(StabilizerType::X);
         let mut h = RoundHistory::new(n_anc, 8);
         let quiet = vec![false; n_anc];
@@ -297,7 +247,7 @@ mod tests {
         h.push(&quiet);
         h.push(&flipped); // transient flip...
         h.push(&quiet); // ...and back
-        let c = decoder.decode_window(&h);
+        let c = decoder.decode_window_mut(&h);
         assert!(c.is_empty(), "time-like pair must not touch data qubits");
     }
 
@@ -307,7 +257,7 @@ mod tests {
         // of weight <= (d-1)/2 is corrected up to stabilizers.
         for d in [3u16, 5, 7] {
             let code = SurfaceCode::new(d);
-            let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+            let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
             let t = usize::from((d - 1) / 2);
             let mut rng = SimRng::from_seed(0xFEED + u64::from(d));
             for _ in 0..400 {
@@ -316,7 +266,7 @@ mod tests {
                     let q = rng.below(code.num_data_qubits());
                     errors[q] = true; // duplicates allowed; weight <= t
                 }
-                let c = decoder.decode_window(&window_for(&code, &errors, 2));
+                let c = decoder.decode_window_mut(&window_for(&code, &errors, 2));
                 let mut residual = errors.clone();
                 c.apply_to(&mut residual);
                 assert!(
@@ -331,6 +281,9 @@ mod tests {
         }
     }
 
+    // The name predates the removal of the locked `&self` entry points;
+    // the test pins that a reused `&mut` decoder's window, event and
+    // weighted paths agree.
     #[test]
     fn mut_path_matches_locked_path() {
         let code = SurfaceCode::new(7);
@@ -342,13 +295,11 @@ mod tests {
                 errors[rng.below(code.num_data_qubits())] ^= true;
             }
             let window = window_for(&code, &errors, 3);
-            let locked = decoder.decode_window(&window);
-            let unlocked = decoder.decode_window_mut(&window);
-            assert_eq!(locked, unlocked);
+            let (c, w) = decoder.decode_window_weighted(&window);
+            assert_eq!(c, decoder.decode_window_mut(&window));
             let events = window.detection_events();
-            assert_eq!(decoder.decode_events(&events), decoder.decode_events_mut(&events));
-            let (c, w) = decoder.decode_events_weighted(&events);
-            assert_eq!(c, locked);
+            assert_eq!(c, decoder.decode_events_mut(&events));
+            assert_eq!((c, w), decoder.decode_events_weighted(&events));
             assert!(w >= 0);
         }
     }
@@ -361,7 +312,7 @@ mod tests {
         let d = 7u16;
         let code = SurfaceCode::new(d);
         let ty = StabilizerType::X;
-        let decoder = MwpmDecoder::new(&code, ty);
+        let mut decoder = MwpmDecoder::new(&code, ty);
         let noise = PhenomenologicalNoise::uniform(0.01);
         let mut rng = SimRng::from_seed(0xABCD);
         let n_anc = code.num_ancillas(ty);
@@ -380,7 +331,7 @@ mod tests {
             }
             // Final perfect round.
             h.push(&code.syndrome_of(ty, &errors));
-            let c = decoder.decode_window(&h);
+            let c = decoder.decode_window_mut(&h);
             let mut residual = errors.clone();
             c.apply_to(&mut residual);
             assert!(

@@ -9,16 +9,15 @@
 //!    minimum-weight *perfect* matching via weight complementation;
 //! 2. [`brute`] — an exponential but obviously-correct reference matcher
 //!    used by the property-test suite to validate the blossom code;
-//! 3. [`project`] — the shared projection of matched event/boundary-twin
-//!    pairs onto data-qubit flips, used here and by the sparse decoder
-//!    in `btwc-sparse`;
+//! 3. [`project`] — the projection of matched event/boundary-twin pairs
+//!    onto data-qubit flips;
 //! 4. [`MwpmDecoder`] — the space-time decoder: detection events from a
 //!    window of measurement rounds become nodes, weights are detector-
 //!    graph distance plus time separation, every event may also match to
 //!    the open boundary, and matched pairs are projected back to data-
-//!    qubit corrections along shortest paths. The `_mut` decode paths
-//!    skip the scratch mutex for exclusive callers; `_weighted` variants
-//!    also report the committed matching's total weight.
+//!    qubit corrections along shortest paths. Every decode takes
+//!    `&mut self` and reuses the decoder's own scratch; the `_weighted`
+//!    variants also report the committed matching's total weight.
 //!
 //! # Example
 //!
@@ -28,7 +27,7 @@
 //! use btwc_syndrome::RoundHistory;
 //!
 //! let code = SurfaceCode::new(5);
-//! let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+//! let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
 //!
 //! // A single data error seen over two rounds:
 //! let mut errors = vec![false; code.num_data_qubits()];
@@ -37,7 +36,7 @@
 //! let mut history = RoundHistory::new(round.len(), 8);
 //! history.push(&round);
 //! history.push(&round);
-//! let correction = decoder.decode_window(&history);
+//! let correction = decoder.decode_window_mut(&history);
 //! assert_eq!(correction.qubits(), &[12]);
 //! ```
 

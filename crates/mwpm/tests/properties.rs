@@ -40,7 +40,7 @@ proptest! {
     ) {
         let code = SurfaceCode::new(d);
         let n = code.num_data_qubits();
-        let decoder = MwpmDecoder::new(&code, StabilizerType::X);
+        let mut decoder = MwpmDecoder::new(&code, StabilizerType::X);
         let mut errors = vec![false; n];
         for &q in &flips {
             errors[q % n] ^= true;
@@ -49,7 +49,7 @@ proptest! {
         let mut window = RoundHistory::new(round.len(), 2);
         window.push(&round);
         window.push(&round);
-        let c = decoder.decode_window(&window);
+        let c = decoder.decode_window_mut(&window);
         let mut residual = errors;
         c.apply_to(&mut residual);
         let s = code.syndrome_of(StabilizerType::X, &residual);

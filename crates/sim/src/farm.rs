@@ -17,7 +17,7 @@
 //! of the same config — the service-conformance pin in
 //! `tests/farm_conformance.rs`.
 
-use btwc_core::{LinkFaultModel, MachineStats, TransportStats};
+use btwc_core::{window_rounds, LinkFaultModel, MachineStats, TransportStats};
 use btwc_farm::{DecodeFarm, FarmConfig, SnapshotExport, TenantSubmission};
 use btwc_pool::Pool;
 use btwc_telemetry::{Domain, MetricsRegistry};
@@ -131,15 +131,14 @@ pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool
                 tenant.fault,
             );
             // Same decode-window sizing as the machine's own wire
-            // scratch (MachineBuilder default); the farm widens on
-            // demand if a request ever carries more rounds.
-            let window_rounds = usize::from(tenant.cfg.distance).max(4) * 4;
+            // scratch; the farm widens on demand if a request ever
+            // carries more rounds.
             farm.register_tenant(
                 &format!("tenant-{}", farm.num_tenants()),
                 &st.code,
                 TY,
                 &tenant.cfg.backend,
-                window_rounds,
+                window_rounds(&st.code),
                 &registry,
             );
             (st, registry)

@@ -1,11 +1,10 @@
 //! Cycle-by-cycle lifetime simulation of one logical qubit.
 
-use btwc_clique::{CliqueDecision, CliqueFrontend};
-use btwc_core::{ComplexDecoder, DecoderBackend};
+use btwc_core::{BtwcDecoder, BtwcOutcome, DecoderBackend};
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_noise::{SimRng, SparseFlips};
 use btwc_pool::Pool;
-use btwc_syndrome::{PackedBits, RoundHistory};
+use btwc_syndrome::PackedBits;
 use serde::Serialize;
 
 use crate::tracker::ErrorTracker;
@@ -214,19 +213,15 @@ impl LifetimeStats {
 }
 
 /// The per-cycle decode pipeline of the paper's Fig. 2 for one logical
-/// qubit: noise → syndrome round → Clique frontend → on-chip correction
-/// or off-chip matching (dense MWPM or sparse-blossom, per
+/// qubit: noise → syndrome round → a [`BtwcDecoder`] (Clique frontend →
+/// on-chip correction or off-chip matching by the backend chosen with
 /// [`LifetimeConfig::with_backend`]).
 pub struct LifetimeSim {
     cfg: LifetimeConfig,
     code: SurfaceCode,
     tracker: ErrorTracker,
-    frontend: CliqueFrontend,
-    /// The selected off-chip matcher, used through its `&mut` decode
-    /// path (each worker owns its decoder, so no lock is ever
-    /// contended).
-    offchip: Box<dyn ComplexDecoder + Send + Sync>,
-    window: RoundHistory,
+    /// The decode pipeline; each shard owns its own.
+    pipeline: BtwcDecoder,
     rng: SimRng,
     /// Reused packed buffer for the current raw measurement round.
     round: PackedBits,
@@ -249,12 +244,11 @@ impl LifetimeSim {
         let ty = StabilizerType::X;
         let code = SurfaceCode::new(cfg.distance);
         let tracker = ErrorTracker::new(&code, ty);
-        let frontend = CliqueFrontend::with_rounds(&code, ty, cfg.clique_rounds);
-        let offchip = cfg.backend.build(&code, ty);
+        let pipeline = BtwcDecoder::builder(&code, ty)
+            .clique_rounds(cfg.clique_rounds)
+            .backend(cfg.backend)
+            .build();
         let n_anc = code.num_ancillas(ty);
-        // Off-chip window: enough rounds for space-time matching; reset
-        // when a complex decode resolves it, slid when it fills up.
-        let window = RoundHistory::new(n_anc, usize::from(cfg.distance).max(4) * 4);
         let stats = LifetimeStats::new(n_anc);
         Self {
             cfg: *cfg,
@@ -262,9 +256,7 @@ impl LifetimeSim {
             round: PackedBits::new(n_anc),
             code,
             tracker,
-            frontend,
-            offchip,
-            window,
+            pipeline,
             stats,
         }
     }
@@ -295,39 +287,30 @@ impl LifetimeSim {
         }
         let weight = self.round.weight();
         self.stats.raw_weight_histogram[weight] += 1;
-        // 3. Feed the decode window. A full window *slides* (pushing
-        //    retires the oldest round and re-bases surviving detection
-        //    events), so an escalation always sees the freshest history.
-        //    While the window is empty, all-zero rounds are skipped:
-        //    they carry no detection events and only shift event times
-        //    uniformly, so the space-time matching is unchanged while
-        //    the dominant quiet case stays copy-free.
-        if !(self.window.is_empty() && self.round.is_zero()) {
-            self.window.push_packed(&self.round);
-        }
-        // 4. Clique decision on the sticky-filtered syndrome.
+        // 3. The pipeline: decode window, Clique decision on the
+        //    sticky-filtered syndrome, and the off-chip decode of a
+        //    complex window (see `BtwcDecoder::process_round_packed`).
         self.stats.cycles += 1;
-        match self.frontend.push_round_packed(&self.round) {
-            CliqueDecision::AllZeros => {
+        match self.pipeline.process_round_packed(&self.round) {
+            BtwcOutcome::Quiet => {
                 self.stats.all_zeros += 1;
                 false
             }
-            CliqueDecision::Trivial(c) => {
+            BtwcOutcome::OnChip(c) => {
                 self.stats.trivial += 1;
                 self.stats.onchip_corrected_qubits += c.weight() as u64;
                 self.tracker.apply(c.qubits());
                 false
             }
-            CliqueDecision::Complex => {
+            BtwcOutcome::OffChip(c) => {
                 self.stats.complex += 1;
-                let c = self.offchip.decode_window_mut(&self.window);
                 self.stats.offchip_corrected_qubits += c.weight() as u64;
                 self.tracker.apply(c.qubits());
-                // The window is consumed; the sticky filter needs no
-                // reset — post-correction rounds clear it naturally.
-                self.window.reset();
                 true
             }
+            // Only a machine with a faulty link degrades; the pipeline
+            // has no link.
+            BtwcOutcome::Degraded(_) => unreachable!("a BtwcDecoder never degrades"),
         }
     }
 

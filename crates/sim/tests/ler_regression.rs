@@ -23,7 +23,7 @@ use btwc_syndrome::RoundHistory;
 fn reference_logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstimate {
     let ty = StabilizerType::X;
     let code = SurfaceCode::new(cfg.distance);
-    let mwpm = MwpmDecoder::new(&code, ty);
+    let mut mwpm = MwpmDecoder::new(&code, ty);
     let mut tracker = ErrorTracker::new(&code, ty);
     let mut frontend = CliqueFrontend::with_rounds(&code, ty, cfg.clique_rounds);
     let n_anc = code.num_ancillas(ty);
@@ -58,7 +58,7 @@ fn reference_logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstim
             }
         }
         window.push(&tracker.syndrome().to_bools());
-        let cleanup = mwpm.decode_window(&window);
+        let cleanup = mwpm.decode_window_mut(&window);
         tracker.apply(cleanup.qubits());
         assert!(tracker.is_quiet(), "reference decode must clear the syndrome");
         est.shots += 1;

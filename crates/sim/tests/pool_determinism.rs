@@ -7,16 +7,10 @@
 //! fails here (CI additionally re-runs the suite with `BTWC_WORKERS=1`
 //! forcing every pool to one worker).
 
-use std::sync::Arc;
-
-use btwc_core::{ComplexDecoder, StabilizerType, SurfaceCode};
 use btwc_sim::{
     coverage_sweep, coverage_sweep_iid, grid_point_seed, logical_error_rate_parallel,
-    machine_offchip_trace_telemetry, signature_distribution_iid, DecoderBackend, DecoderKind,
-    LifetimeConfig, LifetimeSim, Pool, ShotConfig,
+    signature_distribution_iid, DecoderKind, LifetimeConfig, LifetimeSim, ShotConfig,
 };
-use btwc_sparse::SparseDecoder;
-use btwc_telemetry::{Domain, MetricsRegistry};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -84,60 +78,6 @@ fn signature_distribution_iid_identical_across_worker_counts() {
             reference,
             "workers={workers}"
         );
-    }
-}
-
-/// The telemetry determinism pin: the *cycle-domain* metric snapshot of
-/// a machine run over a pooled sparse decoder must be bit-identical —
-/// as serialized JSON — for any pool worker count. Cycle-domain metrics
-/// are derived from the serially-stepped machine and from per-cluster
-/// decode decisions (both worker-count-independent) and accumulated
-/// with commutative atomic adds, so scheduling can reorder the
-/// increments but never change the totals. Scheduling-sensitive
-/// numbers (`pool.tasks_local` etc.) live in `Domain::Scheduling` and
-/// are excluded from this snapshot by construction.
-#[test]
-fn cycle_domain_telemetry_identical_across_worker_counts() {
-    fn pooled_sparse<const W: usize>(
-        code: &SurfaceCode,
-        ty: StabilizerType,
-    ) -> Box<dyn ComplexDecoder + Send + Sync> {
-        Box::new(SparseDecoder::new(code, ty).with_pool(Arc::new(Pool::new(W))))
-    }
-    let backends = [
-        (
-            WORKER_COUNTS[0],
-            DecoderBackend::Custom { name: "sparse-pooled", build: pooled_sparse::<1> },
-        ),
-        (
-            WORKER_COUNTS[1],
-            DecoderBackend::Custom { name: "sparse-pooled", build: pooled_sparse::<2> },
-        ),
-        (
-            WORKER_COUNTS[2],
-            DecoderBackend::Custom { name: "sparse-pooled", build: pooled_sparse::<8> },
-        ),
-    ];
-    let mut reference: Option<(String, _, _)> = None;
-    for (workers, backend) in backends {
-        let cfg =
-            LifetimeConfig::new(5, 7e-3).with_cycles(2_500).with_seed(0x7E1).with_backend(backend);
-        let registry = MetricsRegistry::new();
-        let (stats, trace) = machine_offchip_trace_telemetry(&cfg, 8, 2, &registry);
-        let snapshot = registry.snapshot_domains(&[Domain::Cycles]);
-        assert!(
-            snapshot.get_counter("sparse.clusters_solved").unwrap_or(0) > 0,
-            "need real pooled cluster solves for a meaningful pin (workers={workers})"
-        );
-        let json = snapshot.to_json();
-        match &reference {
-            None => reference = Some((json, stats, trace)),
-            Some((ref_json, ref_stats, ref_trace)) => {
-                assert_eq!(&json, ref_json, "cycle-domain snapshot diverged at workers={workers}");
-                assert_eq!(&stats, ref_stats, "workers={workers}");
-                assert_eq!(&trace, ref_trace, "workers={workers}");
-            }
-        }
     }
 }
 

@@ -39,8 +39,8 @@
 //! the per-decode cost drops from "cubic in all events" to "a pruned
 //! collision scan plus per-cluster matchings sized by how entangled the
 //! events actually are". All working state lives in a reusable
-//! [`SparseScratch`], so a warmed-up decode without a pool makes exactly
-//! one heap allocation, the returned correction's qubit list, whatever
+//! [`SparseScratch`], so a warmed-up decode makes exactly one heap
+//! allocation, the returned correction's qubit list, whatever
 //! the window's size (`tests/allocations.rs` counts it).
 //!
 //! Every window is decoded from scratch. The hierarchy *consumes* a
@@ -49,10 +49,11 @@
 //! qubit share no rounds and there is nothing for an incremental decode
 //! to reuse; see README, "Why there is no incremental decode".
 //!
-//! [`SparseDecoder`] mirrors the dense decoder's API (`decode_window`,
-//! `decode_events`, lock-free `_mut` and weight-reporting `_weighted`
-//! variants) and plugs into the hierarchy as a `ComplexDecoder` backend
-//! via `btwc_core::DecoderBackend::SparseBlossom`.
+//! [`SparseDecoder`] mirrors the dense decoder's API (`decode_window_mut`,
+//! `decode_events_mut` and weight-reporting `_weighted` variants, all
+//! through `&mut self`, so the scratch is a plain field with no lock)
+//! and plugs into the hierarchy as a `ComplexDecoder` backend via
+//! `btwc_core::DecoderBackend::SparseBlossom`.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@
 //! use btwc_syndrome::RoundHistory;
 //!
 //! let code = SurfaceCode::new(5);
-//! let decoder = SparseDecoder::new(&code, StabilizerType::X);
+//! let mut decoder = SparseDecoder::new(&code, StabilizerType::X);
 //!
 //! // A single data error seen over two rounds:
 //! let mut errors = vec![false; code.num_data_qubits()];
@@ -71,7 +72,7 @@
 //! let mut history = RoundHistory::new(round.len(), 8);
 //! history.push(&round);
 //! history.push(&round);
-//! let correction = decoder.decode_window(&history);
+//! let correction = decoder.decode_window_mut(&history);
 //! assert_eq!(correction.qubits(), &[12]);
 //! ```
 

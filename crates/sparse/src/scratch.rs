@@ -6,10 +6,11 @@
 //! collision edge list the region scan discovers, and a
 //! [`ClusterScratch`] — the cluster's local gain graph, the matching
 //! the solver returns, and the [`BlossomArena`] holding the sparse
-//! blossom solver's alternating-tree and blossom tables. Pooled
-//! cluster tasks recycle whole `ClusterScratch`es the same way, and the
-//! data-qubit flips of every path are gathered in one recycled buffer.
-//! Warmed up, an unpooled decode makes exactly one heap allocation, the
+//! blossom solver's alternating-tree and blossom tables, reused by
+//! every cluster of a window in turn. The data-qubit flips of every
+//! path are gathered in one recycled buffer. The decoder owns its
+//! scratch as a plain field (every decode takes `&mut self`).
+//! Warmed up, a decode makes exactly one heap allocation, the
 //! returned `Correction`'s qubit list, for 3 events or 200
 //! (`tests/allocations.rs` pins the count).
 
@@ -18,9 +19,8 @@ use btwc_syndrome::DetectionEvent;
 use crate::blossom::{BlossomArena, ClusterEdge};
 use crate::regions::ScanEvent;
 
-/// Everything one ≥3-event cluster solve works in: the inline decode
-/// keeps one inside its [`SparseScratch`], and each pooled cluster task
-/// borrows one from the decoder's pool for its duration.
+/// Everything one ≥3-event cluster solve works in; the decode keeps one
+/// inside its [`SparseScratch`] and solves every cluster in it.
 #[derive(Debug, Default)]
 pub(crate) struct ClusterScratch {
     /// Local index (position within the cluster being solved) of each
@@ -62,11 +62,11 @@ pub struct SparseScratch {
     pub(crate) collisions: Vec<ClusterEdge>,
     /// Working state of the cluster currently being solved.
     pub(crate) cluster: ClusterScratch,
-    /// Data-qubit flips of the inline cluster solves, gathered before
+    /// Data-qubit flips of the cluster solves, gathered before
     /// they are folded into the returned correction.
     pub(crate) flips: Vec<usize>,
     /// Detection events of the window being decoded (filled by
-    /// `decode_window`).
+    /// `decode_window_mut`).
     pub(crate) events: Vec<DetectionEvent>,
 }
 

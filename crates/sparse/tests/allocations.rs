@@ -1,7 +1,7 @@
 //! The sparse decode's allocation claim, pinned with a counting global
-//! allocator: once an unpooled decoder's scratch has grown to its
-//! windows, a decode makes exactly one heap allocation — the returned
-//! correction's qubit list — whether the window has 3 events or 200.
+//! allocator: once a decoder's scratch has grown to its windows, a
+//! decode makes exactly one heap allocation — the returned correction's
+//! qubit list — whether the window has 3 events or 200.
 //! Every other buffer (union-find, scan rows, collision edges, blossom
 //! tables, path flips) is recycled.
 

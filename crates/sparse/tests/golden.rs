@@ -6,14 +6,10 @@
 //! the decoder free to pick any of several equal-weight matchings; this
 //! digest does not. A kernel change that reorders collision edges,
 //! union-find merges or blossom tie-breaks moves it, so optimizations
-//! of the scan and the solver must reproduce it bit for bit. Pooled and
-//! unpooled decodes hash to the same constant.
-
-use std::sync::Arc;
+//! of the scan and the solver must reproduce it bit for bit.
 
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_noise::SimRng;
-use btwc_pool::Pool;
 use btwc_sparse::SparseDecoder;
 use btwc_testutil::noisy_window;
 
@@ -48,16 +44,13 @@ impl Fnv1a {
     }
 }
 
-fn digest(pool: Option<Arc<Pool>>) -> (u64, usize) {
+fn digest() -> (u64, usize) {
     let ty = StabilizerType::X;
     let mut h = Fnv1a::new();
     let mut max_events = 0;
     for (d, p, windows) in PLAN {
         let code = SurfaceCode::new(d);
         let mut decoder = SparseDecoder::new(&code, ty);
-        if let Some(pool) = &pool {
-            decoder.set_pool(Arc::clone(pool));
-        }
         let base = 0x0060_1DE4u64 ^ (u64::from(d) << 40) ^ p.to_bits();
         for i in 0..windows {
             let (window, _) =
@@ -76,15 +69,9 @@ fn digest(pool: Option<Arc<Pool>>) -> (u64, usize) {
 
 #[test]
 fn unpooled_corrections_match_the_golden_digest() {
-    let (got, max_events) = digest(None);
+    let (got, max_events) = digest();
     // Vacuity guard: the plan must reach windows with real chained
     // clusters, not only small knots.
     assert!(max_events > 64, "largest window had only {max_events} events");
     assert_eq!(got, GOLDEN, "corrections moved: digest {got:#018x}");
-}
-
-#[test]
-fn pooled_corrections_match_the_golden_digest() {
-    let (got, _) = digest(Some(Arc::new(Pool::new(2))));
-    assert_eq!(got, GOLDEN, "pooled corrections moved: digest {got:#018x}");
 }

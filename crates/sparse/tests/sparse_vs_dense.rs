@@ -15,21 +15,17 @@
 //!   `(d, p, slide)` cell through a full (evicting) window advancing
 //!   `slide` rounds per decode, asserting at every position that a
 //!   from-scratch sparse decode and the dense oracle commit to the same
-//!   matching weight and that a pooled sparse decoder is bit-identical
-//!   to the unpooled one — the only fuzz whose windows have a front
-//!   round re-based by eviction.
+//!   matching weight — the only fuzz whose windows have a front round
+//!   re-based by eviction.
 //!
 //! Set `BTWC_FUZZ_WINDOWS` to rescale the chained-cluster and streamed
 //! budgets (the CI slow-fuzz job raises it; the default keeps
 //! `cargo test -q` fast). Failures print the exact seed plus a full
 //! event dump, so any counterexample is reproducible in isolation.
 
-use std::sync::Arc;
-
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_mwpm::MwpmDecoder;
 use btwc_noise::{PhenomenologicalNoise, SimRng};
-use btwc_pool::Pool;
 use btwc_sparse::SparseDecoder;
 use btwc_syndrome::RoundHistory;
 use btwc_testutil::{dump_events, fuzz_window_budget, noisy_round, noisy_window};
@@ -147,14 +143,9 @@ fn chained_cluster_fuzz_sparse_weight_equals_dense() {
 /// through a window that is full from the first position on, so every
 /// decoded window's front round was re-based by eviction (its events
 /// diffed against the all-zero baseline instead of the round that fell
-/// out). At every position
-///
-/// * the from-scratch **sparse** decode and the **dense** MWPM oracle
-///   must agree on the committed matching weight, and
-/// * a **pooled** sparse decoder (≥3-event cluster solves on a
-///   `btwc_pool::Pool`) must be *bit-identical* to the unpooled one —
-///   the property the CI `BTWC_WORKERS=1` repeat pins across worker
-///   counts.
+/// out). At every position the from-scratch **sparse** decode and the
+/// **dense** MWPM oracle must agree on the committed matching weight,
+/// and their corrections must resolve the same spatial syndrome.
 ///
 /// Slide-by-1 keeps maximum overlap between successive windows;
 /// slide-by-`d` replaces the whole window each step. Each cell's trace
@@ -180,7 +171,6 @@ fn streamed_fuzz_incremental_equals_fromscratch_and_dense() {
         let noise = PhenomenologicalNoise::uniform(p);
         let n_anc = code.num_ancillas(ty);
         let mut sparse = SparseDecoder::new(&code, ty);
-        let mut pooled = SparseDecoder::new(&code, ty).with_pool(Arc::new(Pool::auto()));
         let mut dense = MwpmDecoder::new(&code, ty);
         let seed = 0x57E4_A11Du64 ^ (u64::from(d) << 40) ^ ((slide as u64) << 32) ^ p.to_bits();
         let mut rng = SimRng::from_seed(seed);
@@ -217,12 +207,6 @@ fn streamed_fuzz_incremental_equals_fromscratch_and_dense() {
                 code.syndrome_of(ty, &flipped_sparse),
                 code.syndrome_of(ty, &flipped_dense),
                 "sparse correction resolves a different syndrome: {}",
-                ctx()
-            );
-            assert_eq!(
-                pooled.decode_window_weighted(&window),
-                (c_sparse, w_sparse),
-                "pooled decode diverged from inline: {}",
                 ctx()
             );
         }

@@ -19,38 +19,20 @@ use crate::history::RoundHistory;
 /// (neural, belief propagation, …) behind the same BTWC front end.
 pub trait ComplexDecoder {
     /// Decodes the detection events of `window` into a data correction.
-    fn decode_window(&self, window: &RoundHistory) -> Correction;
-
-    /// [`ComplexDecoder::decode_window`] with exclusive access. The
-    /// pipeline owns its decoder mutably, so implementations with
-    /// internal locking (both built-in matchers guard a reusable
-    /// scratch) override this to skip the lock; the default just
-    /// forwards to the shared path.
-    fn decode_window_mut(&mut self, window: &RoundHistory) -> Correction {
-        self.decode_window(window)
-    }
+    ///
+    /// The one required method. Every caller owns its decoder
+    /// exclusively (a pipeline, a machine, a simulation shard, a farm
+    /// slot), so implementations keep their reusable scratch as plain
+    /// fields. The result depends only on `window`: a decoder reused
+    /// across windows decodes each one exactly as a fresh decoder
+    /// would, which is what lets the decode farm share one decoder
+    /// between tenants.
+    fn decode_window_mut(&mut self, window: &RoundHistory) -> Correction;
 
     /// Forwards to [`ComplexDecoder::decode_window_mut`]; no decoder
     /// overrides it. Kept only because `benchmarks/e2e` calls it.
     fn decode_stream_mut(&mut self, window: &RoundHistory) -> Correction {
         self.decode_window_mut(window)
-    }
-
-    /// Decodes `k` independent windows in one backend call, returning
-    /// corrections in submission order.
-    ///
-    /// This is the decode farm's batching seam: simultaneous
-    /// escalations for the same backend/distance are grouped into one
-    /// call so an implementation can amortize per-call setup (or, for
-    /// hardware backends, a single DMA round trip). The contract is
-    /// **bit-identical to `k` individual
-    /// [`ComplexDecoder::decode_window_mut`] calls in the same order**
-    /// — flips, weights, and decoder statistics must not depend on the
-    /// grouping (pinned by the `btwc-farm` batching proptest, including
-    /// the `k = 1` fast path). The default simply loops, so every
-    /// existing decoder participates unchanged.
-    fn decode_batch_mut(&mut self, windows: &[&RoundHistory]) -> Vec<Correction> {
-        windows.iter().map(|w| self.decode_window_mut(w)).collect()
     }
 
     /// Attach a metrics registry: from here on the decoder records its

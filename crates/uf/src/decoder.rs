@@ -168,7 +168,7 @@ impl UnionFindDecoder {
 }
 
 impl ComplexDecoder for UnionFindDecoder {
-    fn decode_window(&self, window: &RoundHistory) -> Correction {
+    fn decode_window_mut(&mut self, window: &RoundHistory) -> Correction {
         UnionFindDecoder::decode_window(self, window)
     }
 }

@@ -8,7 +8,10 @@
 //! blossom matching at a modest accuracy cost. This crate implements it
 //! from scratch on the same space-time detector graph the MWPM decoder
 //! uses, and plugs it into the BTWC pipeline via
-//! [`btwc_syndrome::ComplexDecoder`].
+//! [`btwc_syndrome::ComplexDecoder::decode_window_mut`], the one entry
+//! point every off-chip decoder implements. The decoder keeps no
+//! scratch between decodes, so its inherent
+//! [`UnionFindDecoder::decode_window`] takes `&self`.
 //!
 //! Algorithm (standard):
 //!
@@ -27,18 +30,18 @@
 //!
 //! ```
 //! use btwc_lattice::{StabilizerType, SurfaceCode};
-//! use btwc_syndrome::RoundHistory;
+//! use btwc_syndrome::{ComplexDecoder, RoundHistory};
 //! use btwc_uf::UnionFindDecoder;
 //!
 //! let code = SurfaceCode::new(5);
-//! let decoder = UnionFindDecoder::new(&code, StabilizerType::X);
+//! let mut decoder = UnionFindDecoder::new(&code, StabilizerType::X);
 //! let mut errors = vec![false; code.num_data_qubits()];
 //! errors[12] = true;
 //! let round = code.syndrome_of(StabilizerType::X, &errors);
 //! let mut window = RoundHistory::new(round.len(), 4);
 //! window.push(&round);
 //! window.push(&round);
-//! assert_eq!(decoder.decode_window(&window).qubits(), &[12]);
+//! assert_eq!(decoder.decode_window_mut(&window).qubits(), &[12]);
 //! ```
 
 mod decoder;

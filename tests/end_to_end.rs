@@ -95,7 +95,7 @@ fn clique_agrees_with_mwpm_on_trivial_signatures() {
     let code = SurfaceCode::new(7);
     let ty = StabilizerType::X;
     let clique = CliqueDecoder::new(&code, ty);
-    let mwpm = MwpmDecoder::new(&code, ty);
+    let mut mwpm = MwpmDecoder::new(&code, ty);
     let mut rng = SimRng::from_seed(4242);
     let noise = PhenomenologicalNoise::new(3e-3, 0.0);
     let mut checked = 0;
@@ -108,7 +108,7 @@ fn clique_agrees_with_mwpm_on_trivial_signatures() {
             let mut window = RoundHistory::new(bits.len(), 2);
             window.push(&bits);
             window.push(&bits);
-            let c_mwpm = mwpm.decode_window(&window);
+            let c_mwpm = mwpm.decode_window_mut(&window);
             // Both corrections must cancel the error up to stabilizers.
             for c in [&c_clique, &c_mwpm] {
                 let mut residual = errors.clone();

@@ -13,7 +13,7 @@ use btwc::syndrome::RoundHistory;
 fn framed_window_decodes_identically_after_the_wire() {
     let code = SurfaceCode::new(7);
     let ty = StabilizerType::X;
-    let decoder = MwpmDecoder::new(&code, ty);
+    let mut decoder = MwpmDecoder::new(&code, ty);
 
     // A chain the Clique predecoder would ship off-chip.
     let mut errors = vec![false; code.num_data_qubits()];
@@ -31,14 +31,14 @@ fn framed_window_decodes_identically_after_the_wire() {
     assert_eq!(received.qubit, 42);
     let mut window = RoundHistory::new(received.bits_per_round(), received.rounds.len());
     received.replay_into(&mut window);
-    let via_wire = decoder.decode_window(&window);
+    let via_wire = decoder.decode_window_mut(&window);
 
     // Reference: decode the same window without the wire trip.
     let mut direct = RoundHistory::new(rounds[0].len(), rounds.len());
     for r in &rounds {
         direct.push(r);
     }
-    assert_eq!(via_wire, decoder.decode_window(&direct));
+    assert_eq!(via_wire, decoder.decode_window_mut(&direct));
 
     // And the correction actually resolves the chain.
     let mut residual = errors;
