@@ -1,6 +1,6 @@
 //! The three AFS compression schemes and the dynamic selector.
 
-use btwc_syndrome::Syndrome;
+use btwc_syndrome::{PackedBits, Syndrome};
 
 use crate::bits::{index_width, BitReader, BitWriter};
 
@@ -185,7 +185,7 @@ impl Compressor for RawRepr {
 
     fn decode(&self, bits: &[bool]) -> Syndrome {
         assert_eq!(bits.len(), self.width, "raw stream width mismatch");
-        Syndrome::from_bits(bits.to_vec())
+        PackedBits::from_bools(bits)
     }
 }
 
@@ -310,7 +310,7 @@ mod tests {
             (0..16).map(|i| i == 15).collect::<Vec<_>>(),
             (0..16).map(|i| i == 0).collect::<Vec<_>>(),
         ] {
-            roundtrip(&codec, &Syndrome::from_bits(pattern));
+            roundtrip(&codec, &PackedBits::from_bools(&pattern));
         }
     }
 

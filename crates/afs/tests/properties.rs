@@ -2,12 +2,12 @@
 //! and the dynamic selector is never beaten by its own candidates.
 
 use btwc_afs::{Compressor, DynamicCompressor, RawRepr, RunLength, SparseRepr};
-use btwc_syndrome::Syndrome;
+use btwc_syndrome::{PackedBits, Syndrome};
 use proptest::prelude::*;
 
 fn syndrome_strategy() -> impl Strategy<Value = Syndrome> {
     (1usize..80).prop_flat_map(|n| {
-        proptest::collection::vec(any::<bool>(), n).prop_map(Syndrome::from_bits)
+        proptest::collection::vec(any::<bool>(), n).prop_map(|bits| PackedBits::from_bools(&bits))
     })
 }
 

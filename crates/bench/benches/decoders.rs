@@ -23,7 +23,7 @@ fn random_syndrome(rng: &mut SimRng, code: &SurfaceCode, p: f64) -> Syndrome {
     let noise = PhenomenologicalNoise::uniform(p);
     let mut errors = vec![false; code.num_data_qubits()];
     noise.sample_data_into(rng, &mut errors);
-    Syndrome::from_bits(code.syndrome_of(StabilizerType::X, &errors))
+    PackedBits::from_bools(&code.syndrome_of(StabilizerType::X, &errors))
 }
 
 /// The tentpole comparison: the packed word-parallel sticky-filter path

@@ -61,21 +61,30 @@ fn measure(d: u16, p: f64, shots: u64, tier_is_uf: bool, seed: u64) -> (f64, f64
 fn main() {
     println!("# Ablation — heavyweight tier: exact MWPM vs union-find\n");
     let shots = scaled(8_000);
-    let mut rows = Vec::new();
+    let mut ler_rows = Vec::new();
+    let mut time_rows = Vec::new();
     for (d, p) in [(5u16, 8e-3), (7, 8e-3), (9, 8e-3), (11, 1.2e-2)] {
         let (mwpm_ler, mwpm_us) = measure(d, p, shots, false, 0xAB1);
         let (uf_ler, uf_us) = measure(d, p, shots, true, 0xAB1);
-        rows.push(vec![
+        ler_rows.push(vec![
             d.to_string(),
             format!("{p:.1e}"),
             format!("{mwpm_ler:.2e}"),
             format!("{uf_ler:.2e}"),
+        ]);
+        time_rows.push(vec![
+            d.to_string(),
+            format!("{p:.1e}"),
             format!("{mwpm_us:.1}"),
             format!("{uf_us:.1}"),
             format!("{:.1}x", mwpm_us / uf_us.max(1e-9)),
         ]);
         eprintln!("done: d={d}");
     }
-    print_table(&["d", "p", "MWPM LER", "UF LER", "MWPM us/dec", "UF us/dec", "UF speedup"], &rows);
-    println!("\n({shots} shots per point; decode time is the off-chip window decode only)");
+    print_table(&["d", "p", "MWPM LER", "UF LER"], &ler_rows);
+    println!("\n({shots} shots per point)\n");
+    // Host time varies run to run; it comes last so everything above is
+    // deterministic in the seed.
+    println!("## Host decode time (off-chip window decode only)\n");
+    print_table(&["d", "p", "MWPM us/dec", "UF us/dec", "UF speedup"], &time_rows);
 }

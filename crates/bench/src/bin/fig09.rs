@@ -5,7 +5,7 @@
 use btwc_bandwidth::{ArrivalModel, QueueSim};
 use btwc_bench::{print_table, scaled};
 use btwc_noise::SimRng;
-use btwc_sim::{machine_offchip_trace, LifetimeConfig};
+use btwc_sim::{machine_trace, LifetimeConfig, MachineSpec};
 
 fn main() {
     println!("# Fig. 9 — off-chip decodes per cycle, 1000 logical qubits\n");
@@ -21,7 +21,7 @@ fn main() {
     // for tractability at BTWC_SCALE=1).
     let sim_qubits = scaled(100) as usize;
     let cfg = LifetimeConfig::new(d, p).with_cycles(window as u64 + 50).with_seed(0xF1609);
-    let trace = machine_offchip_trace(&cfg, sim_qubits, sim_qubits).1;
+    let trace = machine_trace(&MachineSpec::new(cfg, sim_qubits, sim_qubits), None).trace;
     let factor = num_qubits as f64 / sim_qubits as f64;
     let demand: Vec<usize> = trace
         .iter()

@@ -4,7 +4,7 @@
 use btwc_bandwidth::{sweep_tradeoff, ArrivalModel};
 use btwc_bench::{fig16_scenarios, print_table, scaled, workers};
 use btwc_noise::SimRng;
-use btwc_sim::{offchip_probability, LifetimeConfig};
+use btwc_sim::{LifetimeConfig, LifetimeSim};
 
 fn main() {
     println!("# Fig. 16 — bandwidth allocation vs stalling trade-offs\n");
@@ -15,7 +15,7 @@ fn main() {
     let _ = workers();
     for (p, d) in fig16_scenarios() {
         let cfg = LifetimeConfig::new(d, p).with_cycles(cycles).with_seed(0xF1616);
-        let q = offchip_probability(&cfg);
+        let q = LifetimeSim::new(&cfg).run().offchip_fraction();
         println!("## p={p:.0e}, d={d}: Clique coverage {:.3}% (q={q:.5})\n", (1.0 - q) * 100.0);
         let model = ArrivalModel::bernoulli(num_qubits, q.max(1e-6));
         let mut rng = SimRng::from_seed(0x16);

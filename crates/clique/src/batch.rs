@@ -117,7 +117,7 @@ impl BatchFrontend {
         self.history.sticky_into(self.rounds, &mut self.sticky);
         self.sticky.active_qubits_into(&mut self.active);
         for q in self.active.iter_set() {
-            self.sticky.qubit_round_into(q, self.filtered.as_packed_mut());
+            self.sticky.qubit_round_into(q, &mut self.filtered);
             visit(q, self.decoder.decode(&self.filtered), &self.filtered);
         }
     }

@@ -209,10 +209,11 @@ mod tests {
     use super::*;
     use btwc_lattice::DataQubit;
     use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+    use btwc_syndrome::PackedBits;
 
     fn decode_errors(code: &SurfaceCode, errors: &[bool]) -> CliqueDecision {
         let decoder = CliqueDecoder::new(code, StabilizerType::X);
-        let syndrome = Syndrome::from_bits(code.syndrome_of(StabilizerType::X, errors));
+        let syndrome = PackedBits::from_bools(&code.syndrome_of(StabilizerType::X, errors));
         decoder.decode(&syndrome)
     }
 
@@ -338,7 +339,7 @@ mod tests {
         let mut rng = SimRng::from_seed(99);
         for _ in 0..2000 {
             let bits: Vec<bool> = (0..n).map(|_| rng.bernoulli(0.1)).collect();
-            let syndrome = Syndrome::from_bits(bits);
+            let syndrome = PackedBits::from_bools(&bits);
             let flag_any = (0..n).any(|a| decoder.complex_flag(a, &syndrome));
             let is_complex = matches!(decoder.decode(&syndrome), CliqueDecision::Complex);
             assert_eq!(flag_any, is_complex);
@@ -390,7 +391,7 @@ mod tests {
         for _ in 0..2000 {
             let mut errors = vec![false; code.num_data_qubits()];
             noise.sample_data_into(&mut rng, &mut errors);
-            let syndrome = Syndrome::from_bits(code.syndrome_of(ty, &errors));
+            let syndrome = PackedBits::from_bools(&code.syndrome_of(ty, &errors));
             if !matches!(decoder.decode(&syndrome), CliqueDecision::Complex) {
                 continue;
             }
@@ -418,7 +419,7 @@ mod tests {
         for _ in 0..500 {
             let bits: Vec<bool> = (0..n).map(|_| rng.bernoulli(0.15)).collect();
             let any_lit = bits.iter().any(|&b| b);
-            let syndrome = Syndrome::from_bits(bits);
+            let syndrome = PackedBits::from_bools(&bits);
             let c = decoder.emergency_correction(&syndrome);
             assert_eq!(c, decoder.emergency_correction(&syndrome));
             assert_eq!(c.weight() > 0, any_lit, "lit syndromes must produce flips");

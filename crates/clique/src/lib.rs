@@ -22,7 +22,7 @@
 //! ```
 //! use btwc_clique::{CliqueDecoder, CliqueDecision};
 //! use btwc_lattice::{StabilizerType, SurfaceCode};
-//! use btwc_syndrome::Syndrome;
+//! use btwc_syndrome::PackedBits;
 //!
 //! let code = SurfaceCode::new(5);
 //! let decoder = CliqueDecoder::new(&code, StabilizerType::X);
@@ -31,7 +31,7 @@
 //! // are clique neighbors — trivially decodable on-chip:
 //! let mut errors = vec![false; code.num_data_qubits()];
 //! errors[12] = true;
-//! let syndrome = Syndrome::from_bits(code.syndrome_of(StabilizerType::X, &errors));
+//! let syndrome = PackedBits::from_bools(&code.syndrome_of(StabilizerType::X, &errors));
 //! match decoder.decode(&syndrome) {
 //!     CliqueDecision::Trivial(correction) => assert_eq!(correction.qubits(), &[12]),
 //!     other => panic!("expected trivial, got {other:?}"),

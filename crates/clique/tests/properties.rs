@@ -4,7 +4,7 @@
 
 use btwc_clique::{CliqueDecision, CliqueDecoder};
 use btwc_lattice::{StabilizerType, SurfaceCode};
-use btwc_syndrome::Syndrome;
+use btwc_syndrome::{PackedBits, Syndrome};
 use proptest::prelude::*;
 
 proptest! {
@@ -19,7 +19,7 @@ proptest! {
         let code = SurfaceCode::new(d);
         let decoder = CliqueDecoder::new(&code, StabilizerType::X);
         let n = decoder.num_cliques();
-        let syndrome = Syndrome::from_bits(seed[..n].to_vec());
+        let syndrome = PackedBits::from_bools(&seed[..n]);
         if let CliqueDecision::Trivial(c) = decoder.decode(&syndrome) {
             let mut errors = vec![false; code.num_data_qubits()];
             c.apply_to(&mut errors);
@@ -40,7 +40,7 @@ proptest! {
         let code = SurfaceCode::new(d);
         let decoder = CliqueDecoder::new(&code, StabilizerType::X);
         let n = decoder.num_cliques();
-        let syndrome = Syndrome::from_bits(bits[..n].to_vec());
+        let syndrome = PackedBits::from_bools(&bits[..n]);
         let first = decoder.decode(&syndrome);
         prop_assert_eq!(&decoder.decode(&syndrome), &first);
         let any_flag = (0..n).any(|a| decoder.complex_flag(a, &syndrome));

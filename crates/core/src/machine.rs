@@ -60,11 +60,10 @@ pub struct MachineCycle {
 
 /// Aggregate counters of a [`BtwcMachine`].
 ///
-/// Since the telemetry rework this is a *snapshot facade*: the machine
-/// keeps its running totals in private internals (plus, when a registry
-/// is attached, live `machine.*` metrics) and
-/// [`BtwcMachine::stats`] assembles this struct on demand, so existing
-/// callers keep their five-counter view unchanged.
+/// The machine keeps its running totals in one of these (plus, when a
+/// registry is attached, live `machine.*` metrics);
+/// [`BtwcMachine::stats`] returns a copy with `backlog` read off the
+/// link queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MachineStats {
     /// Total cycles elapsed (useful + stall).
@@ -96,17 +95,6 @@ impl MachineStats {
         }
         self.cycles as f64 / useful as f64 - 1.0
     }
-}
-
-/// Running totals behind the [`MachineStats`] facade (the queue itself
-/// owns the live backlog).
-#[derive(Debug, Clone, Copy, Default)]
-struct MachineCounters {
-    cycles: u64,
-    stalls: u64,
-    offchip_requests: u64,
-    frame_bytes: u64,
-    peak_backlog: u64,
 }
 
 /// Receiver-side transport counters of a [`BtwcMachine`] — what the
@@ -357,12 +345,11 @@ impl<'a> MachineBuilder<'a> {
             wire: RoundHistory::new(n_anc, window_rounds),
             queue: QueueSim::new(self.bandwidth),
             stalled: false,
-            counters: MachineCounters::default(),
+            stats: MachineStats::default(),
             transport: TransportStats::default(),
             per_qubit: vec![QubitCounters::default(); self.num_qubits],
             backlog_qubits: VecDeque::new(),
             telemetry: None,
-            ingest: Some(SyndromeBatch::new(self.num_qubits, n_anc)),
             emergency,
             link: FaultyLink::new(self.fault_model, self.link_seed),
             next_seq: vec![0; self.num_qubits],
@@ -380,8 +367,7 @@ impl<'a> MachineBuilder<'a> {
 /// `n` logical qubits decoded by one batched pipeline behind one
 /// provisioned off-chip link — see the module docs.
 ///
-/// Feed one [`SyndromeBatch`] per cycle to [`BtwcMachine::step`] (or
-/// per-qubit rounds to [`BtwcMachine::step_rounds`] on cold paths).
+/// Feed one [`SyndromeBatch`] per cycle to [`BtwcMachine::step`].
 /// When a cycle's complex-decode demand exceeds the link bandwidth, the
 /// following cycle is a stall: the waveform generator issues identity
 /// gates (Fig. 10), no program progress is made, but errors — and
@@ -420,7 +406,8 @@ pub struct BtwcMachine {
     wire: RoundHistory,
     queue: QueueSim,
     stalled: bool,
-    counters: MachineCounters,
+    /// Running totals; `backlog` is filled from `queue` on read.
+    stats: MachineStats,
     transport: TransportStats,
     per_qubit: Vec<QubitCounters>,
     /// On-chip emergency decoder for degraded escalations (the batch
@@ -444,10 +431,6 @@ pub struct BtwcMachine {
     backlog_qubits: VecDeque<u32>,
     /// Optional metric handles (see [`BtwcMachine::attach_telemetry`]).
     telemetry: Option<MachineTelemetry>,
-    /// Reused ingestion batch for [`BtwcMachine::step_rounds`] (taken
-    /// out of the `Option` for the duration of the step so the
-    /// borrow-checker lets it feed `step`; never `None` between calls).
-    ingest: Option<SyndromeBatch>,
 }
 
 impl std::fmt::Debug for BtwcMachine {
@@ -498,18 +481,10 @@ impl BtwcMachine {
         self.stalled
     }
 
-    /// Aggregate counters, assembled from the machine's internals (see
-    /// [`MachineStats`]).
+    /// Aggregate counters (see [`MachineStats`]).
     #[must_use]
     pub fn stats(&self) -> MachineStats {
-        MachineStats {
-            cycles: self.counters.cycles,
-            stalls: self.counters.stalls,
-            offchip_requests: self.counters.offchip_requests,
-            frame_bytes: self.counters.frame_bytes,
-            backlog: self.queue.backlog() as u64,
-            peak_backlog: self.counters.peak_backlog,
-        }
+        MachineStats { backlog: self.queue.backlog() as u64, ..self.stats }
     }
 
     /// Receiver-side transport counters: what this machine observed on
@@ -525,12 +500,6 @@ impl BtwcMachine {
     #[must_use]
     pub fn link_stats(&self) -> LinkFaultStats {
         self.link.stats()
-    }
-
-    /// The link fault model in force.
-    #[must_use]
-    pub fn fault_model(&self) -> &LinkFaultModel {
-        self.link.model()
     }
 
     /// Degraded decodes charged to one qubit (escalations resolved by
@@ -567,8 +536,8 @@ impl BtwcMachine {
     pub fn decoder_stats(&self, qubit: usize) -> DecoderStats {
         let q = &self.per_qubit[qubit];
         DecoderStats {
-            cycles: self.counters.cycles,
-            quiet: self.counters.cycles - q.onchip - q.offchip,
+            cycles: self.stats.cycles,
+            quiet: self.stats.cycles - q.onchip - q.offchip,
             onchip: q.onchip,
             offchip: q.offchip,
         }
@@ -631,7 +600,7 @@ impl BtwcMachine {
         assert_eq!(batch.num_qubits(), self.num_qubits, "one round per qubit");
         assert_eq!(batch.num_ancillas(), self.num_ancillas, "batch ancilla width mismatch");
         let was_stalled = self.stalled;
-        let cycle_index = self.counters.cycles;
+        let cycle_index = self.stats.cycles;
         if was_stalled {
             // Per-qubit stall attribution: this idle cycle is charged
             // to every qubit whose request is still waiting on the
@@ -843,16 +812,10 @@ impl BtwcMachine {
                         // the on-chip emergency correction so the
                         // machine keeps moving — the sticky filter
                         // re-escalates whatever residual survives.
-                        transport.degraded_decodes += 1;
-                        per_qubit[q].degraded += 1;
                         trackers[q].resync(seq.wrapping_add(1));
                         next_seq[q] = seq.wrapping_add(1);
-                        if let Some(tel) = telemetry {
-                            tel.degraded.inc();
-                            tel.qubit_degraded.inc(q);
-                        }
                         outcomes[q] =
-                            BtwcOutcome::Degraded(emergency.emergency_correction(filtered));
+                            degrade(transport, per_qubit, telemetry, emergency, q, filtered);
                     }
                 }
                 // Window consumed; the sticky filter clears itself once
@@ -869,11 +832,11 @@ impl BtwcMachine {
         let backlog = self.queue.backlog() as u64;
         debug_assert_eq!(self.backlog_qubits.len() as u64, backlog, "queue mirror out of sync");
         self.stalled = backlog > 0;
-        self.counters.cycles += 1;
-        self.counters.stalls += u64::from(was_stalled);
-        self.counters.offchip_requests += offchip_requests as u64;
-        self.counters.frame_bytes += frame_bytes as u64;
-        self.counters.peak_backlog = self.counters.peak_backlog.max(backlog);
+        self.stats.cycles += 1;
+        self.stats.stalls += u64::from(was_stalled);
+        self.stats.offchip_requests += offchip_requests as u64;
+        self.stats.frame_bytes += frame_bytes as u64;
+        self.stats.peak_backlog = self.stats.peak_backlog.max(backlog);
         if let Some(tel) = &self.telemetry {
             tel.cycles.inc();
             if was_stalled {
@@ -922,43 +885,41 @@ impl BtwcMachine {
                     // decode: same graceful fallback as a transport
                     // failure — the sticky filter re-escalates whatever
                     // residual survives the emergency correction.
-                    self.transport.degraded_decodes += 1;
-                    self.per_qubit[q].degraded += 1;
-                    if let Some(tel) = &self.telemetry {
-                        tel.degraded.inc();
-                        tel.qubit_degraded.inc(q);
-                    }
-                    outcomes[q] =
-                        BtwcOutcome::Degraded(self.emergency.emergency_correction(&job.filtered));
+                    outcomes[q] = degrade(
+                        &mut self.transport,
+                        &mut self.per_qubit,
+                        self.telemetry.as_ref(),
+                        &self.emergency,
+                        q,
+                        &job.filtered,
+                    );
                 }
             }
         }
         MachineCycle { outcomes, offchip_requests, frame_bytes, stalled }
     }
+}
 
-    /// [`BtwcMachine::step`] from per-qubit bool rounds (cold-path
-    /// convenience; packs into an internal batch first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds.len() != num_qubits()` or any round has the
-    /// wrong width.
-    pub fn step_rounds(&mut self, rounds: &[Vec<bool>]) -> MachineCycle {
-        assert_eq!(rounds.len(), self.num_qubits, "one round per qubit");
-        // The scratch batch is only absent if a prior call unwound
-        // mid-step; rebuilding it keeps this path panic-free without
-        // changing the steady-state reuse.
-        let mut batch = self
-            .ingest
-            .take()
-            .unwrap_or_else(|| SyndromeBatch::new(self.num_qubits, self.num_ancillas));
-        for (q, round) in rounds.iter().enumerate() {
-            batch.set_qubit_round_bools(q, round);
-        }
-        let cycle = self.step(&batch);
-        self.ingest = Some(batch);
-        cycle
+/// Resolves qubit `q`'s escalation with the on-chip emergency
+/// correction of its sticky-filtered syndrome, and counts the
+/// degradation — the one fallback for a transport failure
+/// ([`BtwcMachine::step_deferred`]) and a service rejection
+/// ([`BtwcMachine::complete`]).
+fn degrade(
+    transport: &mut TransportStats,
+    per_qubit: &mut [QubitCounters],
+    telemetry: Option<&MachineTelemetry>,
+    emergency: &CliqueDecoder,
+    q: usize,
+    filtered: &PackedBits,
+) -> BtwcOutcome {
+    transport.degraded_decodes += 1;
+    per_qubit[q].degraded += 1;
+    if let Some(tel) = telemetry {
+        tel.degraded.inc();
+        tel.qubit_degraded.inc(q);
     }
+    BtwcOutcome::Degraded(emergency.emergency_correction(filtered))
 }
 
 #[cfg(test)]
@@ -1062,39 +1023,6 @@ mod tests {
         // request ships at least the 16-byte header.
         let stats = machine.stats();
         assert!(stats.frame_bytes >= 16 * stats.offchip_requests);
-    }
-
-    #[test]
-    fn step_rounds_matches_step() {
-        let code = SurfaceCode::new(5);
-        let ty = StabilizerType::X;
-        let mut a = BtwcMachine::builder(&code, ty, 3, 2).build();
-        let mut b = BtwcMachine::builder(&code, ty, 3, 2).build();
-        let noise = PhenomenologicalNoise::uniform(8e-3);
-        let mut rng = SimRng::from_seed(7);
-        let mut errors = vec![vec![false; code.num_data_qubits()]; 3];
-        let mut batch = quiet_batch(&code, 3);
-        for _ in 0..300 {
-            let rounds: Vec<Vec<bool>> = errors
-                .iter_mut()
-                .map(|e| {
-                    noise.sample_data_into(&mut rng, e);
-                    code.syndrome_of(ty, e)
-                })
-                .collect();
-            for (q, round) in rounds.iter().enumerate() {
-                batch.set_qubit_round_bools(q, round);
-            }
-            let ca = a.step(&batch);
-            let cb = b.step_rounds(&rounds);
-            assert_eq!(ca, cb);
-            for (e, out) in errors.iter_mut().zip(&ca.outcomes) {
-                if let Some(c) = out.correction() {
-                    c.apply_to(e);
-                }
-            }
-        }
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

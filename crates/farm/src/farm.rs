@@ -386,13 +386,6 @@ impl DecodeFarm {
     pub fn num_tenants(&self) -> usize {
         self.tenants.len()
     }
-
-    /// Distinct decoder slots (deduplicated backend/distance/stabilizer
-    /// shapes).
-    #[must_use]
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Replays each of a slot's admitted jobs into its receive window and

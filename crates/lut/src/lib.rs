@@ -24,13 +24,13 @@
 //! ```
 //! use btwc_lattice::{StabilizerType, SurfaceCode};
 //! use btwc_lut::LutDecoder;
-//! use btwc_syndrome::Syndrome;
+//! use btwc_syndrome::PackedBits;
 //!
 //! let code = SurfaceCode::new(3);
 //! let lut = LutDecoder::build(&code, StabilizerType::X);
 //! let mut errors = vec![false; code.num_data_qubits()];
 //! errors[4] = true;
-//! let syndrome = Syndrome::from_bits(code.syndrome_of(StabilizerType::X, &errors));
+//! let syndrome = PackedBits::from_bools(&code.syndrome_of(StabilizerType::X, &errors));
 //! assert_eq!(lut.decode(&syndrome).qubits(), &[4]);
 //! ```
 
@@ -136,6 +136,7 @@ impl ComplexDecoder for LutDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btwc_syndrome::PackedBits;
 
     #[test]
     fn d3_table_has_16_entries() {
@@ -185,7 +186,7 @@ mod tests {
         for q in 0..code.num_data_qubits() {
             let mut errors = vec![false; code.num_data_qubits()];
             errors[q] = true;
-            let syndrome = Syndrome::from_bits(code.syndrome_of(ty, &errors));
+            let syndrome = PackedBits::from_bools(&code.syndrome_of(ty, &errors));
             let events: Vec<DetectionEvent> =
                 syndrome.iter_set().map(|ancilla| DetectionEvent { ancilla, round: 0 }).collect();
             assert_eq!(lut.decode(&syndrome), mwpm.decode_events_mut(&events), "qubit {q}");

@@ -191,7 +191,7 @@ mod tests {
     use crate::netlist::NetlistState;
     use btwc_clique::{CliqueDecision, CliqueDecoder};
     use btwc_noise::SimRng;
-    use btwc_syndrome::Syndrome;
+    use btwc_syndrome::PackedBits;
 
     fn settle_outputs(synth: &CliqueSynthesis, inputs: &[bool]) -> Vec<bool> {
         let nl = synth.netlist();
@@ -224,7 +224,7 @@ mod tests {
         let mut rng = SimRng::from_seed(0x5F0);
         for trial in 0..400 {
             let bits: Vec<bool> = (0..n).map(|_| rng.bernoulli(0.15)).collect();
-            let syndrome = Syndrome::from_bits(bits.clone());
+            let syndrome = PackedBits::from_bools(&bits);
             let outs = settle_outputs(&synth, &bits);
             let hw_complex = outs[synth.complex_output_index()];
             match decoder.decode(&syndrome) {

@@ -5,7 +5,7 @@
 use btwc_clique::{CliqueDecision, CliqueDecoder};
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_sfq::{synthesize_clique, NetlistState};
-use btwc_syndrome::Syndrome;
+use btwc_syndrome::PackedBits;
 use proptest::prelude::*;
 
 proptest! {
@@ -25,7 +25,7 @@ proptest! {
         let depth = *nl.net_depths().iter().max().unwrap();
         let mut st = NetlistState::new(nl);
         let outs = st.settle(nl, &inputs, depth + 2);
-        let syndrome = Syndrome::from_bits(inputs);
+        let syndrome = PackedBits::from_bools(&inputs);
         match decoder.decode(&syndrome) {
             CliqueDecision::Complex => {
                 prop_assert!(outs[synth.complex_output_index()]);

@@ -1,7 +1,7 @@
 //! Multi-machine closed-loop simulation through the shared decode farm.
 //!
 //! [`machine_farm_trace`] is the service-tier counterpart of
-//! [`crate::machine_offchip_trace`]: `N` independent machines (tenants)
+//! [`crate::machine_trace`]: `N` independent machines (tenants)
 //! run the same closed noise → machine → correction loop, but every
 //! cycle their surviving escalations are submitted into one
 //! [`DecodeFarm`] instead of each machine decoding inline. The driver
@@ -12,65 +12,25 @@
 //! Each tenant keeps the exact per-qubit RNG fork schedule of the
 //! single-machine driver (forked from *its own* `cfg.seed` by qubit
 //! index), so under a [`FarmConfig::generous`] farm every tenant's
-//! outcomes, stats, and `machine.*` cycle-domain telemetry are
-//! **bit-identical** to an inline [`crate::machine_offchip_trace`] run
-//! of the same config — the service-conformance pin in
+//! [`MachineRun`] and `machine.*` cycle-domain telemetry are
+//! **bit-identical** to an inline [`crate::machine_trace`] run of the
+//! same [`MachineSpec`] — the service-conformance pin in
 //! `tests/farm_conformance.rs`.
 
-use btwc_core::{window_rounds, LinkFaultModel, MachineStats, TransportStats};
+use btwc_core::window_rounds;
 use btwc_farm::{DecodeFarm, FarmConfig, SnapshotExport, TenantSubmission};
 use btwc_pool::Pool;
 use btwc_telemetry::{Domain, MetricsRegistry};
 
-use crate::lifetime::LifetimeConfig;
-use crate::machine::{TenantState, TraceRun, TY};
+use crate::machine::{MachineRun, MachineSpec, TenantState, TY};
 
-/// One machine of a [`machine_farm_trace`] fleet.
-#[derive(Debug, Clone)]
-pub struct FarmTenant {
-    /// The tenant's lifetime config: distance, error rates, cycles,
-    /// off-chip backend, and the seed its per-qubit RNG streams fork
-    /// from. `cycles` must agree across the fleet (lockstep driver).
-    pub cfg: LifetimeConfig,
-    /// Logical qubits on this machine.
-    pub num_qubits: usize,
-    /// Off-chip link bandwidth in decodes per cycle.
-    pub bandwidth: usize,
-    /// Optional faulty-link model for this tenant's off-chip transport.
-    pub fault: Option<(LinkFaultModel, u64)>,
-}
-
-impl FarmTenant {
-    /// A fault-free tenant.
-    #[must_use]
-    pub fn new(cfg: LifetimeConfig, num_qubits: usize, bandwidth: usize) -> Self {
-        FarmTenant { cfg, num_qubits, bandwidth, fault: None }
-    }
-
-    /// Routes this tenant's escalations across a faulty link.
-    #[must_use]
-    pub fn with_fault(mut self, model: LinkFaultModel, link_seed: u64) -> Self {
-        self.fault = Some((model, link_seed));
-        self
-    }
-}
-
-/// One tenant's results from a [`machine_farm_trace`] run — the same
-/// quantities the single-machine drivers report, plus the tenant's
-/// cycle-domain telemetry snapshot.
+/// One tenant's results from a [`machine_farm_trace`] run: the
+/// inline driver's [`MachineRun`] plus the tenant's cycle-domain
+/// telemetry snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FarmTenantRun {
-    /// Machine aggregates (stalls, backlog, frame bytes).
-    pub stats: MachineStats,
-    /// Receiver-side transport observations.
-    pub transport: TransportStats,
-    /// Per-cycle off-chip demand trace.
-    pub trace: Vec<usize>,
-    /// Total residual syndrome weight across the tenant's qubits at the
-    /// end of the run.
-    pub residual_syndrome_weight: u64,
-    /// Qubits ending the run in a logical-error state.
-    pub logical_errors: u64,
+    /// The closed-loop results, as [`crate::machine_trace`] reports them.
+    pub run: MachineRun,
     /// The tenant's cycle-domain `btwc-telemetry-v1` snapshot
     /// (`machine.*` metrics; the backend decoder metrics live in the
     /// farm's slots, not the tenant registry).
@@ -108,7 +68,7 @@ pub struct FarmRun {
 /// Panics if `tenants` is empty, any tenant has zero qubits or
 /// bandwidth, or the tenants disagree on `cfg.cycles`.
 #[must_use]
-pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool) -> FarmRun {
+pub fn machine_farm_trace(tenants: &[MachineSpec], config: FarmConfig, pool: Pool) -> FarmRun {
     assert!(!tenants.is_empty(), "a farm fleet needs at least one tenant");
     let cycles = tenants[0].cfg.cycles;
     assert!(
@@ -123,13 +83,7 @@ pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool
         .iter()
         .map(|tenant| {
             let registry = MetricsRegistry::new();
-            let st = TenantState::new(
-                &tenant.cfg,
-                tenant.num_qubits,
-                tenant.bandwidth,
-                Some(&registry),
-                tenant.fault,
-            );
+            let st = TenantState::new(tenant, Some(&registry));
             // Same decode-window sizing as the machine's own wire
             // scratch; the farm widens on demand if a request ever
             // carries more rounds.
@@ -181,8 +135,7 @@ pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool
     let tenants_out = states
         .into_iter()
         .map(|(st, registry)| {
-            let TraceRun { stats, transport, trace, residual_syndrome_weight, logical_errors } =
-                st.finish();
+            let run = st.finish();
             // The tenant's own cycle-domain view. Restricted to
             // `machine.*` because the registry also carries the
             // machine's (unused-in-farm-mode) private decoder
@@ -190,14 +143,7 @@ pub fn machine_farm_trace(tenants: &[FarmTenant], config: FarmConfig, pool: Pool
             // machine namespace against the inline driver.
             let mut snap = registry.snapshot_domains(&[Domain::Cycles]);
             snap.retain_prefix("machine.");
-            FarmTenantRun {
-                stats,
-                transport,
-                trace,
-                residual_syndrome_weight,
-                logical_errors,
-                telemetry_json: snap.to_json(),
-            }
+            FarmTenantRun { run, telemetry_json: snap.to_json() }
         })
         .collect();
 

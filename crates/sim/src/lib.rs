@@ -15,8 +15,12 @@
 //!   (the baseline) or by Clique+MWPM (the proposal), counting logical
 //!   failures (Fig. 14).
 //!
-//! Multi-qubit off-chip demand traces for the bandwidth study (Figs. 9
-//! and 16) come from [`machine_offchip_trace`] / [`offchip_probability`].
+//! Whole machines — the closed loop behind the bandwidth study (Figs. 9
+//! and 16) — have two drivers that take the same [`MachineSpec`] and
+//! return the same [`MachineRun`]: [`machine_trace`] steps one machine
+//! inline, and [`machine_farm_trace`] steps a fleet in lockstep through
+//! one shared [`DecodeFarm`]. The per-qubit off-chip probability the
+//! allocator provisions against is [`LifetimeStats::offchip_fraction`].
 //!
 //! Everything is deterministic given a seed. Parallel execution runs on
 //! the workspace's thread pool ([`Pool`], re-exported here): work is
@@ -51,7 +55,6 @@ mod farm;
 mod ler;
 mod lifetime;
 mod machine;
-mod multi;
 mod shard;
 mod sweep;
 mod tracker;
@@ -65,16 +68,12 @@ pub use btwc_pool::Pool;
 // The decode-farm service tier: the fleet driver lives here, the farm
 // itself in `btwc_farm` (re-exported so fleet callers need one import).
 pub use btwc_farm::{DecodeFarm, FarmConfig, SnapshotExport, TenantId, TenantSubmission};
-pub use farm::{machine_farm_trace, FarmRun, FarmTenant, FarmTenantRun};
+pub use farm::{machine_farm_trace, FarmRun, FarmTenantRun};
 pub use ler::{
     logical_error_rate, logical_error_rate_parallel, DecoderKind, LerEstimate, ShotConfig,
 };
 pub use lifetime::{LifetimeConfig, LifetimeSim, LifetimeStats};
-pub use machine::{
-    machine_fault_sweep, machine_fault_trace, machine_offchip_trace,
-    machine_offchip_trace_telemetry, FaultSweepPoint,
-};
-pub use multi::offchip_probability;
+pub use machine::{machine_trace, MachineRun, MachineSpec};
 pub use sweep::{
     afs_comparison, coverage_sweep, coverage_sweep_iid, grid_point_seed, signature_distribution,
     signature_distribution_iid, AfsComparison, CoveragePoint, SignatureDistribution,

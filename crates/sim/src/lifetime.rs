@@ -166,7 +166,9 @@ impl LifetimeStats {
         (self.all_zeros + self.trivial) as f64 / self.cycles as f64
     }
 
-    /// Fraction of decodes that go off-chip (`1 - coverage`).
+    /// Fraction of decodes that go off-chip (`1 - coverage`): the
+    /// per-qubit, per-cycle off-chip decode probability `q` the
+    /// statistical bandwidth allocator provisions against (Sec. 5.1).
     #[must_use]
     pub fn offchip_fraction(&self) -> f64 {
         1.0 - self.coverage()

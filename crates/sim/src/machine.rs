@@ -2,7 +2,8 @@
 //! corrections → stalling, end to end (the Figs. 9/16 workload).
 //!
 //! Where [`crate::LifetimeSim`] drives *one* logical qubit,
-//! [`machine_offchip_trace`] drives a whole [`BtwcMachine`]: every
+//! [`machine_trace`] drives a whole [`BtwcMachine`] described by a
+//! [`MachineSpec`] and returns one [`MachineRun`]: every
 //! cycle it samples each qubit's noise, packs the raw rounds into one
 //! transposed [`SyndromeBatch`], steps the machine (one word-parallel
 //! sticky-filter pass for all qubits, off-chip escalations framed as
@@ -29,141 +30,88 @@ use btwc_telemetry::MetricsRegistry;
 use crate::lifetime::LifetimeConfig;
 use crate::tracker::ErrorTracker;
 
-/// The stabilizer type every trace driver decodes.
+/// The stabilizer type every machine driver decodes.
 pub(crate) const TY: StabilizerType = StabilizerType::X;
 
-/// Simulates `num_qubits` logical qubits behind one link of
-/// `bandwidth` decodes/cycle for `cfg.cycles` cycles and returns the
-/// machine's aggregate stats (stalls, backlog, frame bytes — the
-/// Fig. 16 quantities) together with the per-cycle off-chip demand
-/// trace (the bar heights of Fig. 9).
-///
-/// # Panics
-///
-/// Panics if `num_qubits == 0` or `bandwidth == 0`.
-#[must_use]
-pub fn machine_offchip_trace(
-    cfg: &LifetimeConfig,
-    num_qubits: usize,
-    bandwidth: usize,
-) -> (MachineStats, Vec<usize>) {
-    let run = machine_trace_impl(cfg, num_qubits, bandwidth, None, None);
-    (run.stats, run.trace)
+/// One machine of a closed-loop run: what [`machine_trace`] drives
+/// inline and [`crate::machine_farm_trace`] drives per tenant.
+#[derive(Debug, Clone)]
+pub struct MachineSpec {
+    /// The lifetime config: distance, error rates, cycles, off-chip
+    /// backend, and the seed the per-qubit RNG streams fork from.
+    pub cfg: LifetimeConfig,
+    /// Logical qubits on this machine.
+    pub num_qubits: usize,
+    /// Off-chip link bandwidth in decodes per cycle.
+    pub bandwidth: usize,
+    /// The off-chip link's fault model ([`LinkFaultModel::none`] for a
+    /// perfect link, which draws nothing whatever `link_seed` is).
+    pub fault: LinkFaultModel,
+    /// Seed of the link's deterministic fault RNG.
+    pub link_seed: u64,
 }
 
-/// [`machine_offchip_trace`] with a metrics registry attached to the
-/// machine for the whole run: `machine.*` cycle-domain metrics
-/// (escalation latency percentiles, queue depth, per-qubit stalls) and
-/// the off-chip decoder's own metrics (e.g. `sparse.*` for the
-/// sparse backend) land in `registry`, and the returned stats/trace
-/// are bit-identical to the uninstrumented run.
-///
-/// # Panics
-///
-/// Panics if `num_qubits == 0` or `bandwidth == 0`.
-#[must_use]
-pub fn machine_offchip_trace_telemetry(
-    cfg: &LifetimeConfig,
-    num_qubits: usize,
-    bandwidth: usize,
-    registry: &MetricsRegistry,
-) -> (MachineStats, Vec<usize>) {
-    let run = machine_trace_impl(cfg, num_qubits, bandwidth, Some(registry), None);
-    (run.stats, run.trace)
+impl MachineSpec {
+    /// A machine behind a perfect link.
+    #[must_use]
+    pub fn new(cfg: LifetimeConfig, num_qubits: usize, bandwidth: usize) -> Self {
+        MachineSpec { cfg, num_qubits, bandwidth, fault: LinkFaultModel::none(), link_seed: 0 }
+    }
+
+    /// Routes this machine's escalations across a faulty link: every
+    /// escalation crosses a [`btwc_core::FaultyLink`] with the
+    /// machine's frame-integrity / retry / degradation path engaged.
+    #[must_use]
+    pub fn with_fault(mut self, model: LinkFaultModel, link_seed: u64) -> Self {
+        self.fault = model;
+        self.link_seed = link_seed;
+        self
+    }
 }
 
-/// [`machine_offchip_trace`] across a **faulty** off-chip link: every
-/// escalation crosses a [`LinkFaultModel`]-driven
-/// [`btwc_core::FaultyLink`] with the machine's full frame-integrity /
-/// retry / degradation path engaged. Returns the machine stats, the
-/// receiver-side [`TransportStats`], and the per-cycle demand trace.
-/// Deterministic in `(cfg.seed, link_seed, num_qubits)` for any worker
-/// count.
-///
-/// # Panics
-///
-/// Panics if `num_qubits == 0` or `bandwidth == 0`.
-#[must_use]
-pub fn machine_fault_trace(
-    cfg: &LifetimeConfig,
-    num_qubits: usize,
-    bandwidth: usize,
-    model: LinkFaultModel,
-    link_seed: u64,
-) -> (MachineStats, TransportStats, Vec<usize>) {
-    let run = machine_trace_impl(cfg, num_qubits, bandwidth, None, Some((model, link_seed)));
-    (run.stats, run.transport, run.trace)
-}
-
-/// One point of [`machine_fault_sweep`]: the cost of a given link
-/// fault rate in execution time (retransmission pressure → stalls) and
-/// decode quality (degraded decodes, end-of-run residual state).
+/// Everything one closed-loop machine run produced.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultSweepPoint {
-    /// The per-class fault probability of [`LinkFaultModel::uniform`].
-    pub fault_rate: f64,
-    /// Machine aggregates (stalls, backlog, frame bytes).
+pub struct MachineRun {
+    /// Machine aggregates (stalls, backlog, frame bytes — the Fig. 16
+    /// quantities).
     pub stats: MachineStats,
     /// Receiver-side transport observations (fault classes, retries,
     /// degradations).
     pub transport: TransportStats,
-    /// Relative execution-time increase — the Fig. 16 y-axis, now also
-    /// a function of link reliability.
-    pub execution_time_increase: f64,
+    /// Per-cycle off-chip demand (the bar heights of Fig. 9).
+    pub trace: Vec<usize>,
     /// Total residual syndrome weight across qubits when the run ends
-    /// (an error-control proxy: degraded decodes leave residuals for
-    /// later cycles).
+    /// (degraded decodes leave residuals for later cycles).
     pub residual_syndrome_weight: u64,
     /// Qubits whose residual error state is a logical error at the end
-    /// of the run — the logical-error-rate impact of link faults.
+    /// of the run.
     pub logical_errors: u64,
 }
 
-/// Sweeps [`LinkFaultModel::uniform`] fault rates over the same
-/// workload: the graceful-degradation trade-off curve (execution-time
-/// increase and decode-quality impact vs link reliability).
-/// Deterministic in `(cfg.seed, link_seed)`.
+/// Simulates `spec.num_qubits` logical qubits behind one link of
+/// `spec.bandwidth` decodes/cycle for `spec.cfg.cycles` cycles, each
+/// cycle stepping the machine inline. With `registry`, the machine's
+/// `machine.*` cycle-domain metrics and its off-chip decoder's own
+/// metrics (e.g. `sparse.*`) land there; the run is bit-identical
+/// either way. Deterministic in `(cfg.seed, link_seed, num_qubits)`
+/// for any worker count.
 ///
 /// # Panics
 ///
 /// Panics if `num_qubits == 0` or `bandwidth == 0`.
 #[must_use]
-pub fn machine_fault_sweep(
-    cfg: &LifetimeConfig,
-    num_qubits: usize,
-    bandwidth: usize,
-    fault_rates: &[f64],
-    link_seed: u64,
-) -> Vec<FaultSweepPoint> {
-    fault_rates
-        .iter()
-        .map(|&rate| {
-            let model = LinkFaultModel::uniform(rate);
-            let run =
-                machine_trace_impl(cfg, num_qubits, bandwidth, None, Some((model, link_seed)));
-            FaultSweepPoint {
-                fault_rate: rate,
-                execution_time_increase: run.stats.execution_time_increase(),
-                stats: run.stats,
-                transport: run.transport,
-                residual_syndrome_weight: run.residual_syndrome_weight,
-                logical_errors: run.logical_errors,
-            }
-        })
-        .collect()
-}
-
-/// Everything one closed-loop machine run produced.
-pub(crate) struct TraceRun {
-    pub(crate) stats: MachineStats,
-    pub(crate) transport: TransportStats,
-    pub(crate) trace: Vec<usize>,
-    pub(crate) residual_syndrome_weight: u64,
-    pub(crate) logical_errors: u64,
+pub fn machine_trace(spec: &MachineSpec, registry: Option<&MetricsRegistry>) -> MachineRun {
+    let mut st = TenantState::new(spec, registry);
+    for _ in 0..spec.cfg.cycles {
+        st.sample();
+        let cycle = st.machine.step(&st.batch);
+        st.apply(&cycle);
+    }
+    st.finish()
 }
 
 /// One machine's closed-loop driver state — the per-tenant half of
-/// every trace driver in this crate (the inline loop below owns one,
+/// both machine drivers in this crate ([`machine_trace`] owns one,
 /// [`crate::machine_farm_trace`] one per tenant). A cycle is
 /// [`TenantState::sample`], a decode of `batch` on `machine` (inline
 /// `step`, or `step_deferred` → farm → `complete`), then
@@ -181,27 +129,22 @@ pub(crate) struct TenantState {
 }
 
 impl TenantState {
-    /// Builds the machine for `cfg` with one error tracker and one RNG
+    /// Builds the machine for `spec` with one error tracker and one RNG
     /// stream per qubit, forked from `cfg.seed` by qubit index: the
     /// identical schedule the pooled per-qubit implementation used, so
     /// traces are reproducible and qubit-count-stable.
-    pub(crate) fn new(
-        cfg: &LifetimeConfig,
-        num_qubits: usize,
-        bandwidth: usize,
-        registry: Option<&MetricsRegistry>,
-        fault: Option<(LinkFaultModel, u64)>,
-    ) -> Self {
+    pub(crate) fn new(spec: &MachineSpec, registry: Option<&MetricsRegistry>) -> Self {
+        let cfg = &spec.cfg;
+        let num_qubits = spec.num_qubits;
         let code = SurfaceCode::new(cfg.distance);
         let n_anc = code.num_ancillas(TY);
-        let mut builder = BtwcMachine::builder(&code, TY, num_qubits, bandwidth)
+        let mut builder = BtwcMachine::builder(&code, TY, num_qubits, spec.bandwidth)
             .clique_rounds(cfg.clique_rounds)
-            .backend(cfg.backend);
+            .backend(cfg.backend)
+            .fault_model(spec.fault)
+            .link_seed(spec.link_seed);
         if let Some(registry) = registry {
             builder = builder.telemetry(registry);
-        }
-        if let Some((model, link_seed)) = fault {
-            builder = builder.fault_model(model).link_seed(link_seed);
         }
         let root = SimRng::from_seed(cfg.seed);
         Self {
@@ -247,8 +190,8 @@ impl TenantState {
     }
 
     /// Ends the run: machine aggregates plus the residual error state.
-    pub(crate) fn finish(self) -> TraceRun {
-        TraceRun {
+    pub(crate) fn finish(self) -> MachineRun {
+        MachineRun {
             stats: self.machine.stats(),
             transport: self.machine.transport_stats(),
             trace: self.trace,
@@ -266,22 +209,6 @@ impl TenantState {
     }
 }
 
-fn machine_trace_impl(
-    cfg: &LifetimeConfig,
-    num_qubits: usize,
-    bandwidth: usize,
-    registry: Option<&MetricsRegistry>,
-    fault: Option<(LinkFaultModel, u64)>,
-) -> TraceRun {
-    let mut st = TenantState::new(cfg, num_qubits, bandwidth, registry, fault);
-    for _ in 0..cfg.cycles {
-        st.sample();
-        let cycle = st.machine.step(&st.batch);
-        st.apply(&cycle);
-    }
-    st.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +222,7 @@ mod tests {
     fn machine_trace_matches_per_qubit_lifetime_sims() {
         let cfg = LifetimeConfig::new(3, 6e-3).with_cycles(1_500).with_seed(0xAB);
         let qubits = 5;
-        let (_, got) = machine_offchip_trace(&cfg, qubits, qubits);
+        let got = machine_trace(&MachineSpec::new(cfg, qubits, qubits), None).trace;
         let root = SimRng::from_seed(cfg.seed);
         let mut expected = vec![0usize; cfg.cycles as usize];
         for q in 0..qubits {
@@ -310,50 +237,74 @@ mod tests {
     }
 
     #[test]
+    fn trace_mean_matches_single_qubit_probability() {
+        let cfg = LifetimeConfig::new(3, 5e-3).with_cycles(4_000).with_seed(77);
+        let q = LifetimeSim::new(&cfg).run().offchip_fraction();
+        let qubits = 40;
+        // A wide-open link: demand measurement, not stalling.
+        let trace = machine_trace(&MachineSpec::new(cfg, qubits, qubits), None).trace;
+        assert_eq!(trace.len(), 4_000);
+        let mean = trace.iter().sum::<usize>() as f64 / trace.len() as f64;
+        let expected = q * qubits as f64;
+        assert!(
+            (mean - expected).abs() < 0.35 * expected.max(1.0),
+            "trace mean {mean} vs expected {expected}"
+        );
+    }
+
+    #[test]
     fn zero_fault_trace_matches_perfect_link() {
-        // The fault-free differential pin at the sim tier: routing the
-        // workload through an explicit zero-probability FaultyLink is
-        // bit-identical to the default driver.
-        let cfg = LifetimeConfig::new(3, 8e-3).with_cycles(1_200).with_seed(0x5A);
-        let (stats, trace) = machine_offchip_trace(&cfg, 6, 2);
-        let (fstats, transport, ftrace) =
-            machine_fault_trace(&cfg, 6, 2, LinkFaultModel::none(), 0x1234);
-        assert_eq!(stats, fstats);
-        assert_eq!(trace, ftrace);
-        assert_eq!(transport, TransportStats::default());
+        // The fault-free differential pin at the sim tier: an explicit
+        // zero-probability link under another seed is bit-identical to
+        // the default spec's.
+        let spec =
+            MachineSpec::new(LifetimeConfig::new(3, 8e-3).with_cycles(1_200).with_seed(0x5A), 6, 2);
+        let perfect = machine_trace(&spec, None);
+        let zero = machine_trace(&spec.clone().with_fault(LinkFaultModel::none(), 0x1234), None);
+        assert_eq!(perfect, zero);
+        assert_eq!(zero.transport, TransportStats::default());
     }
 
     #[test]
     fn fault_sweep_is_deterministic_and_meters_degradation() {
         let cfg = LifetimeConfig::new(3, 2.2e-2).with_cycles(1_500).with_seed(0xFA);
-        let rates = [0.0, 0.05, 0.30];
-        let sweep = machine_fault_sweep(&cfg, 8, 4, &rates, 0x11);
-        assert_eq!(sweep, machine_fault_sweep(&cfg, 8, 4, &rates, 0x11), "sweep must reproduce");
-        assert_eq!(sweep[0].transport, TransportStats::default(), "zero rate injects nothing");
+        let sweep = || -> Vec<MachineRun> {
+            [0.0, 0.05, 0.30]
+                .iter()
+                .map(|&rate| {
+                    let spec =
+                        MachineSpec::new(cfg, 8, 4).with_fault(LinkFaultModel::uniform(rate), 0x11);
+                    machine_trace(&spec, None)
+                })
+                .collect()
+        };
+        let runs = sweep();
+        assert_eq!(runs, sweep(), "sweep must reproduce");
+        assert_eq!(runs[0].transport, TransportStats::default(), "zero rate injects nothing");
         // More faults => more transport work on the same demand.
-        assert!(sweep[1].transport.retransmitted_frames > 0);
+        assert!(runs[1].transport.retransmitted_frames > 0);
         assert!(
-            sweep[2].transport.retransmitted_frames > sweep[1].transport.retransmitted_frames,
+            runs[2].transport.retransmitted_frames > runs[1].transport.retransmitted_frames,
             "a lossier link must retransmit more"
         );
-        assert!(sweep[2].stats.frame_bytes > sweep[0].stats.frame_bytes);
-        assert!(sweep[2].transport.degraded_decodes > 0, "a 30% fault rate must degrade");
+        assert!(runs[2].stats.frame_bytes > runs[0].stats.frame_bytes);
+        assert!(runs[2].transport.degraded_decodes > 0, "a 30% fault rate must degrade");
     }
 
     #[test]
     fn under_provisioning_stalls_and_meters_the_wire() {
         let cfg = LifetimeConfig::new(5, 8e-3).with_cycles(4_000).with_seed(3);
         // Bandwidth 1 for 24 noisy qubits: overflow must happen.
-        let (tight, trace) = machine_offchip_trace(&cfg, 24, 1);
-        assert_eq!(trace.len(), 4_000);
-        assert!(tight.stalls > 0, "under-provisioned link must stall");
-        assert!(tight.peak_backlog > 0);
-        assert!(tight.frame_bytes >= 16 * tight.offchip_requests);
-        assert!(tight.execution_time_increase() > 0.0);
+        let tight = machine_trace(&MachineSpec::new(cfg, 24, 1), None);
+        assert_eq!(tight.trace.len(), 4_000);
+        assert!(tight.stats.stalls > 0, "under-provisioned link must stall");
+        assert!(tight.stats.peak_backlog > 0);
+        assert!(tight.stats.frame_bytes >= 16 * tight.stats.offchip_requests);
+        assert!(tight.stats.execution_time_increase() > 0.0);
         // A generous link sees the same demand but never stalls.
-        let (wide, wide_trace) = machine_offchip_trace(&cfg, 24, 24);
-        assert_eq!(trace, wide_trace, "demand is independent of provisioning");
-        assert_eq!(wide.stalls, 0);
-        assert!(wide.execution_time_increase().abs() < 1e-12);
+        let wide = machine_trace(&MachineSpec::new(cfg, 24, 24), None);
+        assert_eq!(tight.trace, wide.trace, "demand is independent of provisioning");
+        assert_eq!(wide.stats.stalls, 0);
+        assert!(wide.stats.execution_time_increase().abs() < 1e-12);
     }
 }

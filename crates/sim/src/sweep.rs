@@ -233,9 +233,8 @@ fn iid_trial_shard(distance: u16, p: f64, n: u64, mut rng: SimRng) -> [u64; 3] {
         for a in SparseFlips::new(&mut rng, n_anc, p) {
             round2.toggle(a);
         }
-        let packed = filtered.as_packed_mut();
-        packed.copy_from(&round1);
-        packed.and_with(&round2);
+        filtered.copy_from(&round1);
+        filtered.and_with(&round2);
         let idx = match decoder.decode(&filtered) {
             CliqueDecision::AllZeros => 0,
             CliqueDecision::Trivial(_) => 1,

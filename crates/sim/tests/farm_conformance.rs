@@ -1,48 +1,41 @@
 //! The service-conformance harness: the decode-farm tier must be
 //! invisible.
 //!
-//! Under a [`FarmConfig::generous`] farm, every tenant's outcomes —
-//! stats, per-cycle demand trace, end-of-run error state, and
-//! `machine.*` cycle-domain telemetry — must be **bit-identical** to
-//! the inline single-machine loop ([`machine_offchip_trace`]), for
-//! every builtin backend, for `BTWC_WORKERS` ∈ {1, 2, 8}, and any
+//! Under a [`FarmConfig::generous`] farm, every tenant's whole
+//! [`MachineRun`] — stats, transport counters, per-cycle demand trace,
+//! end-of-run residual weight and logical errors — and its `machine.*`
+//! cycle-domain telemetry must be **bit-identical** to the inline
+//! single-machine loop ([`machine_trace`]) on the same [`MachineSpec`],
+//! for every builtin backend, for `BTWC_WORKERS` ∈ {1, 2, 8}, and any
 //! submission interleaving (fleet argument order).
 
 use btwc_sim::{
-    machine_farm_trace, machine_offchip_trace_telemetry, DecoderBackend, FarmConfig, FarmTenant,
-    FarmTenantRun, LifetimeConfig, Pool,
+    machine_farm_trace, machine_trace, DecoderBackend, FarmConfig, FarmTenantRun, LifetimeConfig,
+    MachineRun, MachineSpec, Pool,
 };
 use btwc_telemetry::{Domain, MetricsRegistry};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The inline reference: stats, trace, and the `machine.*` snapshot of
+/// The inline reference: the whole run and the `machine.*` snapshot of
 /// a single-machine run.
-fn inline_reference(
-    cfg: &LifetimeConfig,
-    qubits: usize,
-    bandwidth: usize,
-) -> (btwc_core::MachineStats, Vec<usize>, String) {
+fn inline_reference(spec: &MachineSpec) -> (MachineRun, String) {
     let registry = MetricsRegistry::new();
-    let (stats, trace) = machine_offchip_trace_telemetry(cfg, qubits, bandwidth, &registry);
+    let run = machine_trace(spec, Some(&registry));
     let mut snap = registry.snapshot_domains(&[Domain::Cycles]);
     snap.retain_prefix("machine.");
-    (stats, trace, snap.to_json())
+    (run, snap.to_json())
 }
 
-fn assert_tenant_matches_inline(
-    run: &FarmTenantRun,
-    cfg: &LifetimeConfig,
-    qubits: usize,
-    bandwidth: usize,
-    label: &str,
-) {
-    let (stats, trace, telemetry) = inline_reference(cfg, qubits, bandwidth);
-    assert!(stats.offchip_requests > 0, "{label}: workload never escalated — the pin is vacuous");
-    assert_eq!(run.stats, stats, "{label}: machine stats diverge from the inline loop");
-    assert_eq!(run.trace, trace, "{label}: demand trace diverges from the inline loop");
+fn assert_tenant_matches_inline(tenant: &FarmTenantRun, spec: &MachineSpec, label: &str) {
+    let (run, telemetry) = inline_reference(spec);
+    assert!(
+        run.stats.offchip_requests > 0,
+        "{label}: workload never escalated — the pin is vacuous"
+    );
+    assert_eq!(tenant.run, run, "{label}: machine run diverges from the inline loop");
     assert_eq!(
-        run.telemetry_json, telemetry,
+        tenant.telemetry_json, telemetry,
         "{label}: machine.* cycle-domain telemetry diverges from the inline loop"
     );
 }
@@ -69,20 +62,15 @@ fn farm_outcomes_match_inline_loop_for_every_backend_and_worker_count() {
                 .with_backend(backend)
         })
         .collect();
-    let qubits = 4;
-    let bandwidth = 2;
+    let specs: Vec<MachineSpec> = cfgs.iter().map(|cfg| MachineSpec::new(*cfg, 4, 2)).collect();
     for workers in WORKER_COUNTS {
-        let tenants: Vec<FarmTenant> =
-            cfgs.iter().map(|cfg| FarmTenant::new(*cfg, qubits, bandwidth)).collect();
-        let run = machine_farm_trace(&tenants, FarmConfig::generous(), Pool::new(workers));
+        let run = machine_farm_trace(&specs, FarmConfig::generous(), Pool::new(workers));
         assert_eq!(run.final_queue_depth, 0, "a generous farm never accumulates backlog");
-        for (tenant, cfg) in run.tenants.iter().zip(&cfgs) {
+        for (tenant, spec) in run.tenants.iter().zip(&specs) {
             assert_tenant_matches_inline(
                 tenant,
-                cfg,
-                qubits,
-                bandwidth,
-                &format!("backend {} @ {workers} workers", cfg.backend.name()),
+                spec,
+                &format!("backend {} @ {workers} workers", spec.cfg.backend.name()),
             );
         }
     }
@@ -110,7 +98,7 @@ fn submission_interleaving_is_invisible() {
             .with_seed(3)
             .with_backend(DecoderBackend::UnionFind),
     ];
-    let tenant = |i: usize| FarmTenant::new(cfgs[i], 3, 2);
+    let tenant = |i: usize| MachineSpec::new(cfgs[i], 3, 2);
     let order_a = [tenant(0), tenant(1), tenant(2)];
     let order_b = [tenant(2), tenant(0), tenant(1)];
     let run_a = machine_farm_trace(&order_a, FarmConfig::generous(), Pool::new(2));
@@ -124,7 +112,7 @@ fn submission_interleaving_is_invisible() {
         );
     }
     // And each of them still matches its inline run.
-    for (i, t) in run_a.tenants.iter().enumerate() {
-        assert_tenant_matches_inline(t, &cfgs[i], 3, 2, &format!("interleaving tenant {i}"));
+    for (i, (t, spec)) in run_a.tenants.iter().zip(&order_a).enumerate() {
+        assert_tenant_matches_inline(t, spec, &format!("interleaving tenant {i}"));
     }
 }

@@ -7,10 +7,10 @@
 //! just above the fleet's mean demand must keep its backlog bounded.
 
 use btwc_sim::{
-    machine_farm_trace, DecoderBackend, FarmConfig, FarmRun, FarmTenant, LifetimeConfig, Pool,
+    machine_farm_trace, DecoderBackend, FarmConfig, FarmRun, LifetimeConfig, MachineSpec, Pool,
 };
 
-fn fleet(seed_base: u64) -> Vec<FarmTenant> {
+fn fleet(seed_base: u64) -> Vec<MachineSpec> {
     // 8 machines: mixed distances (3 and 5), mixed backends, two of
     // them sharing each decoder slot so cross-tenant batching happens.
     let shapes = [
@@ -32,7 +32,7 @@ fn fleet(seed_base: u64) -> Vec<FarmTenant> {
                 .with_cycles(300)
                 .with_seed(seed_base + i as u64)
                 .with_backend(backend);
-            FarmTenant::new(cfg, 3, 2)
+            MachineSpec::new(cfg, 3, 2)
         })
         .collect()
 }
@@ -55,7 +55,7 @@ fn fleet_run_is_identical_for_any_worker_count() {
     assert_eq!(reference.tenants.len(), 8);
     // The bounded model must actually be exercised somewhere: demand
     // exists and the cadence exporter fired.
-    assert!(reference.tenants.iter().any(|t| t.stats.offchip_requests > 0));
+    assert!(reference.tenants.iter().any(|t| t.run.stats.offchip_requests > 0));
     assert_eq!(reference.exports.len(), 3 * 8, "300 cycles / cadence 100 × 8 tenants");
     for workers in [2, 8] {
         let got = run(workers);

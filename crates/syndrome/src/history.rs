@@ -218,10 +218,9 @@ impl RoundHistory {
             return;
         }
         let start = self.rounds.len() - k;
-        let packed = out.as_packed_mut();
-        packed.copy_from(&self.rounds[start]);
+        out.copy_from(&self.rounds[start]);
         for r in (start + 1)..self.rounds.len() {
-            packed.and_with(&self.rounds[r]);
+            out.and_with(&self.rounds[r]);
         }
     }
 

@@ -16,18 +16,17 @@
 //!
 //! ```
 //! use btwc_lattice::{StabilizerType, SurfaceCode};
-//! use btwc_syndrome::{RoundHistory, Syndrome};
+//! use btwc_syndrome::{PackedBits, RoundHistory};
 //!
 //! let code = SurfaceCode::new(3);
 //! let mut errors = vec![false; code.num_data_qubits()];
 //! errors[4] = true; // a single error on the central data qubit
-//! let bits = code.syndrome_of(StabilizerType::X, &errors);
-//! let syndrome = Syndrome::from_bits(bits);
+//! let syndrome = PackedBits::from_bools(&code.syndrome_of(StabilizerType::X, &errors));
 //! assert_eq!(syndrome.weight(), 2);
 //!
 //! let mut history = RoundHistory::new(syndrome.len(), 4);
-//! history.push_packed(syndrome.as_packed());
-//! history.push_packed(syndrome.as_packed());
+//! history.push_packed(&syndrome);
+//! history.push_packed(&syndrome);
 //! // The two-round sticky filter accepts errors that persist:
 //! assert_eq!(history.sticky(2).weight(), 2);
 //! ```

@@ -1,147 +1,19 @@
 //! The per-cycle syndrome bit vector.
 
-use std::fmt;
-
-use crate::packed::{PackedBits, SetBits};
+use crate::packed::PackedBits;
 
 /// One round of syndrome bits for one stabilizer type; bit `i` belongs
 /// to ancilla `i` (the indexing of [`btwc_lattice::SurfaceCode::ancillas`]).
 ///
-/// Backed by a word-packed bit vector ([`PackedBits`]), so the
-/// operations the decode hot path leans on — [`Syndrome::is_zero`],
-/// [`Syndrome::weight`], [`Syndrome::xor_with`], [`Syndrome::iter_set`]
-/// — are word-parallel rather than bit-at-a-time.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Syndrome {
-    bits: PackedBits,
-}
-
-impl Syndrome {
-    /// An all-zero syndrome over `n` ancillas.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Self { bits: PackedBits::new(n) }
-    }
-
-    /// Packs an existing bit vector.
-    #[must_use]
-    pub fn from_bits(bits: Vec<bool>) -> Self {
-        Self { bits: PackedBits::from_bools(&bits) }
-    }
-
-    /// Wraps an already-packed bit vector.
-    #[must_use]
-    pub fn from_packed(bits: PackedBits) -> Self {
-        Self { bits }
-    }
-
-    /// Number of ancillas covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether the syndrome covers zero ancillas.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Number of set bits (lit ancillas) — hardware popcount.
-    #[must_use]
-    pub fn weight(&self) -> usize {
-        self.bits.weight()
-    }
-
-    /// Whether no ancilla is lit — the paper's "All-0s" signature
-    /// (a word scan, not a bit loop).
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.bits.is_zero()
-    }
-
-    /// Bit for ancilla `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    #[must_use]
-    pub fn get(&self, i: usize) -> bool {
-        self.bits.get(i)
-    }
-
-    /// Sets the bit for ancilla `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn set(&mut self, i: usize, value: bool) {
-        self.bits.set(i, value);
-    }
-
-    /// XORs another syndrome into this one (word-parallel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn xor_with(&mut self, other: &Syndrome) {
-        assert_eq!(self.len(), other.len(), "syndrome lengths must match");
-        self.bits.xor_with(&other.bits);
-    }
-
-    /// Clears all bits.
-    pub fn clear(&mut self) {
-        self.bits.clear();
-    }
-
-    /// Indices of the lit ancillas, ascending (trailing-zeros scan).
-    #[must_use]
-    pub fn iter_set(&self) -> SetBits<'_> {
-        self.bits.iter_set()
-    }
-
-    /// Borrow the packed representation.
-    #[must_use]
-    pub fn as_packed(&self) -> &PackedBits {
-        &self.bits
-    }
-
-    /// Mutably borrow the packed representation.
-    pub fn as_packed_mut(&mut self) -> &mut PackedBits {
-        &mut self.bits
-    }
-
-    /// Unpacks to a plain bool vector (cold paths and tests only).
-    #[must_use]
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.bits.to_bools()
-    }
-}
-
-impl From<Vec<bool>> for Syndrome {
-    fn from(bits: Vec<bool>) -> Self {
-        Self::from_bits(bits)
-    }
-}
-
-impl From<PackedBits> for Syndrome {
-    fn from(bits: PackedBits) -> Self {
-        Self::from_packed(bits)
-    }
-}
-
-impl FromIterator<bool> for Syndrome {
-    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        Self { bits: iter.into_iter().collect() }
-    }
-}
-
-impl fmt::Display for Syndrome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.bits.fmt(f)
-    }
-}
+/// A syndrome *is* a word-packed bit vector, so the operations the
+/// decode hot path leans on — [`PackedBits::is_zero`] (the paper's
+/// "All-0s" signature), [`PackedBits::weight`], [`PackedBits::xor_with`],
+/// [`PackedBits::iter_set`] — are word-parallel rather than
+/// bit-at-a-time, and a syndrome passes to every packed-row API
+/// (`RoundHistory::push_packed`, `SyndromeBatch::set_qubit_round`, …)
+/// without conversion. Build one from lattice bits with
+/// [`PackedBits::from_bools`].
+pub type Syndrome = PackedBits;
 
 #[cfg(test)]
 mod tests {
@@ -189,7 +61,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lengths must match")]
+    #[should_panic(expected = "length mismatch")]
     fn xor_length_mismatch_panics() {
         let mut a = Syndrome::new(3);
         let b = Syndrome::new(4);
@@ -198,7 +70,7 @@ mod tests {
 
     #[test]
     fn from_vec_and_clear() {
-        let mut s = Syndrome::from(vec![true, true]);
+        let mut s = Syndrome::from_bools(&[true, true]);
         assert_eq!(s.weight(), 2);
         s.clear();
         assert!(s.is_zero());
@@ -207,9 +79,8 @@ mod tests {
     #[test]
     fn packed_views_roundtrip() {
         let bools = vec![true, false, true, true, false, false, true];
-        let s = Syndrome::from_bits(bools.clone());
+        let s = Syndrome::from_bools(&bools);
         assert_eq!(s.to_bools(), bools);
-        let p = s.as_packed().clone();
-        assert_eq!(Syndrome::from_packed(p), s);
+        assert_eq!(Syndrome::from_bools(&s.to_bools()), s);
     }
 }

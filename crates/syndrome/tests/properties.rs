@@ -4,7 +4,7 @@
 //! plus packed-vs-reference equivalence for the word-parallel bitset
 //! and the flat plane-major machine batch.
 
-use btwc_syndrome::{BatchHistory, Correction, PackedBits, RoundHistory, Syndrome, SyndromeBatch};
+use btwc_syndrome::{BatchHistory, Correction, PackedBits, RoundHistory, SyndromeBatch};
 use proptest::prelude::*;
 
 proptest! {
@@ -98,7 +98,7 @@ proptest! {
     /// Syndrome XOR is an involution and weight is bounded by length.
     #[test]
     fn syndrome_algebra(bits in proptest::collection::vec(any::<bool>(), 1..40)) {
-        let s = Syndrome::from_bits(bits.clone());
+        let s = PackedBits::from_bools(&bits);
         prop_assert!(s.weight() <= s.len());
         let mut t = s.clone();
         t.xor_with(&s);

@@ -182,21 +182,37 @@ impl Histogram {
     /// Integer-only, so the result is identical however the samples were
     /// interleaved across threads.
     pub fn percentile(&self, pct: u64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((u128::from(count) * u128::from(pct)).div_ceil(100) as u64).max(1);
-        let mut seen = 0u64;
-        for b in 0..HISTOGRAM_BUCKETS {
+        let buckets = self.0.buckets.iter().enumerate().map(|(b, n)| {
             // det: read after pool quiescence; relaxed sees final counts.
-            seen += self.0.buckets[b].load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper(b);
-            }
-        }
-        self.max()
+            (bucket_upper(b), n.load(Ordering::Relaxed))
+        });
+        bucket_percentile(buckets, self.count(), self.max(), pct)
     }
+}
+
+/// The rank walk behind every reported percentile: the upper bound of
+/// the bucket holding sample rank `ceil(count * pct / 100)` among
+/// `buckets`' ascending `(upper, n)` pairs (dense or sparse — empty
+/// buckets never hold the rank), `max` if they hold fewer than `count`
+/// samples, or 0 for an empty histogram.
+pub(crate) fn bucket_percentile(
+    buckets: impl IntoIterator<Item = (u64, u64)>,
+    count: u64,
+    max: u64,
+    pct: u64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((u128::from(count) * u128::from(pct)).div_ceil(100) as u64).max(1);
+    let mut seen = 0u64;
+    for (upper, n) in buckets {
+        seen += n;
+        if seen >= rank {
+            return upper;
+        }
+    }
+    max
 }
 
 /// Fixed-size family of counters indexed by a small integer id (per-qubit,

@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 
-use crate::metrics::{bucket_upper, HISTOGRAM_BUCKETS};
+use crate::metrics::{bucket_percentile, bucket_upper, HISTOGRAM_BUCKETS};
 use crate::registry::{Domain, Entry, MetricKind};
 
 /// Value of one metric at snapshot time.
@@ -204,9 +204,9 @@ impl Snapshot {
                             }
                             *count = count.saturating_add(*c2);
                             *sum = sum.saturating_add(*s2);
-                            *p50 = bucket_percentile(buckets, *count, *max, 50);
-                            *p90 = bucket_percentile(buckets, *count, *max, 90);
-                            *p99 = bucket_percentile(buckets, *count, *max, 99);
+                            *p50 = bucket_percentile(buckets.iter().copied(), *count, *max, 50);
+                            *p90 = bucket_percentile(buckets.iter().copied(), *count, *max, 90);
+                            *p99 = bucket_percentile(buckets.iter().copied(), *count, *max, 99);
                         }
                         (MetricValue::Values(a), MetricValue::Values(b)) => {
                             if a.len() < b.len() {
@@ -241,24 +241,6 @@ fn merge_buckets(mine: &mut Vec<(u64, u64)>, extra: &[(u64, u64)]) {
             Err(pos) => mine.insert(pos, (upper, n)),
         }
     }
-}
-
-/// Percentile over sparse `(upper, n)` buckets — the same
-/// rank-into-bucket-upper rule `Histogram::percentile` applies to its
-/// dense bucket array.
-fn bucket_percentile(buckets: &[(u64, u64)], count: u64, max: u64, pct: u64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((u128::from(count) * u128::from(pct)).div_ceil(100) as u64).max(1);
-    let mut seen = 0u64;
-    for &(upper, n) in buckets {
-        seen += n;
-        if seen >= rank {
-            return upper;
-        }
-    }
-    max
 }
 
 fn json_string(s: &str) -> String {

@@ -11,7 +11,7 @@
 
 use btwc::bandwidth::{sweep_tradeoff, ArrivalModel, IoModel};
 use btwc::noise::SimRng;
-use btwc::sim::{offchip_probability, LifetimeConfig};
+use btwc::sim::{LifetimeConfig, LifetimeSim};
 
 fn main() {
     let num_qubits = 1000;
@@ -20,7 +20,7 @@ fn main() {
     for (p, d) in scenarios {
         println!("== p={p:.0e}, d={d}, {num_qubits} logical qubits ==");
         let cfg = LifetimeConfig::new(d, p).with_cycles(150_000).with_seed(42);
-        let q = offchip_probability(&cfg);
+        let q = LifetimeSim::new(&cfg).run().offchip_fraction();
         println!("Clique coverage: {:.3}% (q = {q:.5})", (1.0 - q) * 100.0);
 
         let model = ArrivalModel::bernoulli(num_qubits, q.max(1e-6));

@@ -14,7 +14,7 @@
 //! Run with: `cargo run --release --example fault_sweep`
 
 use btwc::core::LinkFaultModel;
-use btwc::sim::{machine_fault_sweep, LifetimeConfig};
+use btwc::sim::{machine_trace, LifetimeConfig, MachineSpec};
 
 fn main() {
     let d = 5u16;
@@ -34,7 +34,14 @@ fn main() {
 
     for &bandwidth in &bandwidths {
         let cfg = LifetimeConfig::new(d, p).with_cycles(cycles).with_seed(0xFA57);
-        let sweep = machine_fault_sweep(&cfg, num_qubits, bandwidth, &fault_rates, link_seed);
+        let sweep: Vec<_> = fault_rates
+            .iter()
+            .map(|&rate| {
+                let spec = MachineSpec::new(cfg, num_qubits, bandwidth)
+                    .with_fault(LinkFaultModel::uniform(rate), link_seed);
+                (rate, machine_trace(&spec, None))
+            })
+            .collect();
         println!("bandwidth {bandwidth} decodes/cycle:");
         println!(
             "  {:>10} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9} {:>8}",
@@ -47,25 +54,25 @@ fn main() {
             "residual",
             "logical"
         );
-        for point in &sweep {
+        for (rate, run) in &sweep {
             println!(
                 "  {:>10.0e} {:>9} {:>9} {:>9} {:>9} {:>9.2}% {:>9} {:>8}",
-                point.fault_rate,
-                point.stats.offchip_requests,
-                point.transport.retransmitted_frames,
-                point.transport.degraded_decodes,
-                point.stats.stalls,
-                point.execution_time_increase * 100.0,
-                point.residual_syndrome_weight,
-                point.logical_errors,
+                rate,
+                run.stats.offchip_requests,
+                run.transport.retransmitted_frames,
+                run.transport.degraded_decodes,
+                run.stats.stalls,
+                run.stats.execution_time_increase() * 100.0,
+                run.residual_syndrome_weight,
+                run.logical_errors,
             );
         }
         // The contract the fault_injection test suite pins: a zero-rate
         // sweep point observes no faults at all, and every point keeps
         // the accounting exact (escalations resolve off-chip or as
         // counted degradations — never silently).
-        assert_eq!(sweep[0].transport.retransmitted_frames, 0);
-        assert_eq!(sweep[0].transport.degraded_decodes, 0);
+        assert_eq!(sweep[0].1.transport.retransmitted_frames, 0);
+        assert_eq!(sweep[0].1.transport.degraded_decodes, 0);
         let zero = LinkFaultModel::uniform(0.0);
         assert!(zero.is_none(), "uniform(0) must be the draw-free perfect link");
         println!();

@@ -90,7 +90,7 @@ fn clique_agrees_with_mwpm_on_trivial_signatures() {
     // decoder's correction is equivalent to the heavyweight one's.
     use btwc::clique::{CliqueDecision, CliqueDecoder};
     use btwc::mwpm::MwpmDecoder;
-    use btwc::syndrome::{RoundHistory, Syndrome};
+    use btwc::syndrome::{PackedBits, RoundHistory};
 
     let code = SurfaceCode::new(7);
     let ty = StabilizerType::X;
@@ -103,7 +103,7 @@ fn clique_agrees_with_mwpm_on_trivial_signatures() {
         let mut errors = vec![false; code.num_data_qubits()];
         noise.sample_data_into(&mut rng, &mut errors);
         let bits = code.syndrome_of(ty, &errors);
-        let syndrome = Syndrome::from_bits(bits.clone());
+        let syndrome = PackedBits::from_bools(&bits);
         if let CliqueDecision::Trivial(c_clique) = clique.decode(&syndrome) {
             let mut window = RoundHistory::new(bits.len(), 2);
             window.push(&bits);

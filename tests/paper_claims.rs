@@ -7,8 +7,7 @@ use btwc::lattice::{StabilizerType, SurfaceCode};
 use btwc::noise::SimRng;
 use btwc::sfq::{nisq_plus_anchor, synthesize_clique, CostModel};
 use btwc::sim::{
-    afs_comparison, logical_error_rate, offchip_probability, DecoderKind, LifetimeConfig,
-    LifetimeSim, ShotConfig,
+    afs_comparison, logical_error_rate, DecoderKind, LifetimeConfig, LifetimeSim, ShotConfig,
 };
 
 /// Abstract (claim 1): "70–99+% off-chip bandwidth elimination across a
@@ -73,7 +72,7 @@ fn claim_accuracy_tracks_baseline_at_low_distance() {
 #[test]
 fn claim_statistical_provisioning_beats_average() {
     let cfg = LifetimeConfig::new(9, 5e-3).with_cycles(50_000).with_seed(4);
-    let q = offchip_probability(&cfg);
+    let q = LifetimeSim::new(&cfg).run().offchip_fraction();
     assert!(q > 0.0, "need a nonzero off-chip rate");
     let model = ArrivalModel::bernoulli(1000, q);
     let mut rng = SimRng::from_seed(5);
