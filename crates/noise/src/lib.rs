@@ -6,10 +6,11 @@
 //! with independent data/measurement rates and a code-capacity model
 //! (no measurement errors) are provided for ablations.
 //!
-//! Sampling is performed either naively (one Bernoulli draw per site) or
-//! through a geometric-skip sparse sampler that is orders of magnitude
-//! faster at the low error rates the paper sweeps (5e-4 … 5e-3), which is
-//! what makes billion-cycle-scale Monte Carlo tractable.
+//! Every model samples through [`SparseFlips`], a geometric-skip sampler
+//! that draws once per flipped site plus once, instead of once per site.
+//! At the low error rates the paper sweeps (5e-4 … 5e-3) most calls flip
+//! nothing and end after that one draw without a logarithm, which is what
+//! makes billion-cycle-scale Monte Carlo tractable.
 //!
 //! # Example
 //!

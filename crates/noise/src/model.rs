@@ -70,18 +70,14 @@ impl NoiseModel for PhenomenologicalNoise {
     }
 
     fn sample_data_into(&self, rng: &mut SimRng, data: &mut [bool]) {
-        let n = data.len();
-        let flips: Vec<usize> = SparseFlips::new(rng, n, self.p_data).collect();
-        for i in flips {
+        for i in SparseFlips::new(rng, data.len(), self.p_data) {
             data[i] ^= true;
         }
     }
 
     fn sample_measurement_into(&self, rng: &mut SimRng, meas: &mut [bool]) {
         meas.fill(false);
-        let n = meas.len();
-        let flips: Vec<usize> = SparseFlips::new(rng, n, self.p_meas).collect();
-        for i in flips {
+        for i in SparseFlips::new(rng, meas.len(), self.p_meas) {
             meas[i] = true;
         }
     }

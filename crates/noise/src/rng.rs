@@ -44,6 +44,7 @@ impl SimRng {
 
     /// Uniform `f64` in `[0, 1)`.
     #[must_use]
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         self.inner.random::<f64>()
     }
@@ -54,6 +55,7 @@ impl SimRng {
     ///
     /// Panics if `p` is not in `[0, 1]`.
     #[must_use]
+    #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of [0,1]");
         self.inner.random_bool(p)
@@ -65,6 +67,7 @@ impl SimRng {
     ///
     /// Panics if `n == 0`.
     #[must_use]
+    #[inline]
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is meaningless");
         self.inner.random_range(0..n)
@@ -72,6 +75,7 @@ impl SimRng {
 
     /// Raw 64 random bits.
     #[must_use]
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.inner.random::<u64>()
     }
