@@ -224,10 +224,12 @@ impl FaultyLink {
             self.stats.reordered += 1;
             stale = true;
         }
-        tx.deliveries.push(Delivery { bytes: bytes.clone(), stale });
+        // Only a duplicated frame is cloned. Its two deliveries are the
+        // clean frame, and `stale` is false (the faults are exclusive).
         if duplicate {
-            tx.deliveries.push(Delivery { bytes, stale: false });
+            tx.deliveries.push(Delivery { bytes: bytes.clone(), stale: false });
         }
+        tx.deliveries.push(Delivery { bytes, stale });
         tx
     }
 

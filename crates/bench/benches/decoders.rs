@@ -12,7 +12,7 @@ use btwc_clique::{CliqueDecoder, CliqueFrontend};
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_mwpm::blossom::minimum_weight_perfect_matching;
 use btwc_mwpm::MwpmDecoder;
-use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+use btwc_noise::{PhenomenologicalNoise, SimRng};
 use btwc_sfq::{synthesize_clique, NetlistState};
 use btwc_sim::{logical_error_rate, DecoderKind, ShotConfig};
 use btwc_sparse::SparseDecoder;

@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use btwc_lattice::{StabilizerType, SurfaceCode};
-use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+use btwc_noise::{PhenomenologicalNoise, SimRng};
 use btwc_syndrome::RoundHistory;
 
 /// A deterministic stream of raw syndrome rounds (accumulating data

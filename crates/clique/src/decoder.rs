@@ -208,7 +208,7 @@ impl CliqueDecoder {
 mod tests {
     use super::*;
     use btwc_lattice::DataQubit;
-    use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+    use btwc_noise::{PhenomenologicalNoise, SimRng};
     use btwc_syndrome::PackedBits;
 
     fn decode_errors(code: &SurfaceCode, errors: &[bool]) -> CliqueDecision {

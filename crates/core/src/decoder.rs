@@ -11,7 +11,7 @@ use btwc_uf::UnionFindDecoder;
 pub use btwc_syndrome::ComplexDecoder;
 
 /// Constructor signature of a [`DecoderBackend::Custom`] backend: each
-/// pipeline, plane, and simulation shard builds its *own* decoder
+/// pipeline, machine, and simulation shard builds its *own* decoder
 /// instance (the Monte Carlo engines run one decoder per worker), so a
 /// custom backend registers a factory rather than a single boxed
 /// instance.
@@ -19,9 +19,8 @@ pub type BackendFactory = fn(&SurfaceCode, StabilizerType) -> Box<dyn ComplexDec
 
 /// Which off-chip decoder resolves complex windows — the *single*
 /// backend selector of the workspace, consumed uniformly by
-/// [`BtwcBuilder::backend`], [`crate::DualBtwcDecoder::with_backend`],
-/// [`crate::MachineBuilder::backend`], and (via re-export) the sim
-/// configs' `with_backend`.
+/// [`BtwcBuilder::backend`], [`crate::MachineBuilder::backend`], and
+/// (via re-export) the sim configs' `with_backend`.
 ///
 /// [`DecoderBackend::DenseMwpm`] and [`DecoderBackend::SparseBlossom`]
 /// are *exact* minimum-weight perfect matchers — weight-equal on every
@@ -53,7 +52,7 @@ pub enum DecoderBackend {
     Custom {
         /// Short identifier for logs, stats, and equality.
         name: &'static str,
-        /// Constructor invoked for every pipeline/plane/shard.
+        /// Constructor invoked for every pipeline/machine/shard.
         build: BackendFactory,
     },
 }
@@ -380,36 +379,45 @@ mod tests {
     #[test]
     fn persistent_error_corrected_onchip_after_filter_delay() {
         let code = SurfaceCode::new(5);
-        let mut dec = BtwcDecoder::builder(&code, StabilizerType::X).build();
-        let mut errors = vec![false; code.num_data_qubits()];
-        errors[12] = true;
-        let round = round_for(&code, &errors);
-        assert_eq!(dec.process_round(&round), BtwcOutcome::Quiet);
-        let out = dec.process_round(&round);
-        assert_eq!(out.correction().map(Correction::qubits), Some(&[12usize][..]));
-        assert!(!out.went_offchip());
-        assert_eq!(dec.stats().onchip, 1);
+        for ty in [StabilizerType::X, StabilizerType::Z] {
+            let mut dec = BtwcDecoder::builder(&code, ty).build();
+            let mut errors = vec![false; code.num_data_qubits()];
+            errors[12] = true;
+            let round = code.syndrome_of(ty, &errors);
+            assert_eq!(dec.process_round(&round), BtwcOutcome::Quiet);
+            let out = dec.process_round(&round);
+            assert_eq!(out.correction().map(Correction::qubits), Some(&[12usize][..]), "{ty:?}");
+            assert!(!out.went_offchip());
+            assert_eq!(dec.stats().onchip, 1);
+        }
     }
 
     #[test]
     fn chain_goes_offchip_and_is_resolved() {
         let code = SurfaceCode::new(7);
-        let mut dec = BtwcDecoder::builder(&code, StabilizerType::X).build();
-        let mut errors = vec![false; code.num_data_qubits()];
-        // Vertical chain of 2 in the interior: complex for Clique.
-        errors[3 * 7 + 3] = true;
-        errors[4 * 7 + 3] = true;
-        let round = round_for(&code, &errors);
-        assert_eq!(dec.process_round(&round), BtwcOutcome::Quiet);
-        let out = dec.process_round(&round);
-        assert!(out.went_offchip(), "chain must be shipped off-chip");
-        let c = out.correction().unwrap();
-        // The MWPM correction must cancel the syndrome equivalently.
-        let mut residual = errors.clone();
-        c.apply_to(&mut residual);
-        assert!(code.syndrome_of(StabilizerType::X, &residual).iter().all(|&s| !s));
-        assert!(!code.is_logical_error(StabilizerType::X, &residual));
-        assert_eq!(dec.stats().offchip, 1);
+        // A chain of 2 in the interior, complex for Clique: vertical for
+        // the X plane, horizontal for the Z plane.
+        for (ty, chain) in [
+            (StabilizerType::X, [3 * 7 + 3, 4 * 7 + 3]),
+            (StabilizerType::Z, [3 * 7 + 3, 3 * 7 + 4]),
+        ] {
+            let mut dec = BtwcDecoder::builder(&code, ty).build();
+            let mut errors = vec![false; code.num_data_qubits()];
+            for q in chain {
+                errors[q] = true;
+            }
+            let round = code.syndrome_of(ty, &errors);
+            assert_eq!(dec.process_round(&round), BtwcOutcome::Quiet);
+            let out = dec.process_round(&round);
+            assert!(out.went_offchip(), "{ty:?}: chain must be shipped off-chip");
+            let c = out.correction().unwrap();
+            // The MWPM correction must cancel the syndrome equivalently.
+            let mut residual = errors.clone();
+            c.apply_to(&mut residual);
+            assert!(code.syndrome_of(ty, &residual).iter().all(|&s| !s));
+            assert!(!code.is_logical_error(ty, &residual));
+            assert_eq!(dec.stats().offchip, 1);
+        }
     }
 
     /// A custom backend whose every decode flips data qubit 99.

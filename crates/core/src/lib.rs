@@ -38,7 +38,6 @@
 //! ```
 
 mod decoder;
-mod dual;
 mod machine;
 mod service;
 
@@ -46,7 +45,6 @@ pub use decoder::{
     window_rounds, BackendFactory, BtwcBuilder, BtwcDecoder, BtwcOutcome, ComplexDecoder,
     DecoderBackend, DecoderStats,
 };
-pub use dual::{DualBtwcDecoder, DualOutcome};
 pub use machine::{BtwcMachine, MachineBuilder, MachineCycle, MachineStats, TransportStats};
 pub use service::{EscalationJob, PendingCycle, RejectReason, ServiceResponse};
 

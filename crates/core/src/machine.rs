@@ -722,11 +722,6 @@ impl BtwcMachine {
                             }
                             continue;
                         }
-                        // Strict v2 parse: the machine only ships v2
-                        // frames, and the auto-detecting parse would
-                        // route a magic-byte flip to the CRC-less v1
-                        // fallback, where a corrupted frame can parse
-                        // as a garbage request instead of erroring.
                         match DecodeRequest::decode_v2(&delivery.bytes) {
                             Err(_) => {
                                 // CRC or structural failure: bit flips
@@ -925,7 +920,7 @@ fn degrade(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+    use btwc_noise::{PhenomenologicalNoise, SimRng};
 
     fn quiet_batch(code: &SurfaceCode, n: usize) -> SyndromeBatch {
         SyndromeBatch::new(n, code.num_ancillas(StabilizerType::X))

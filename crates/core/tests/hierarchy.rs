@@ -3,7 +3,7 @@
 //! consistently on complex traffic.
 
 use btwc_core::{BtwcDecoder, BtwcOutcome, DecoderBackend, StabilizerType, SurfaceCode};
-use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+use btwc_noise::{PhenomenologicalNoise, SimRng};
 
 fn run_pipeline(
     mut dec: BtwcDecoder,

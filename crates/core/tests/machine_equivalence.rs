@@ -3,7 +3,8 @@
 //! behavior — to a reference loop of per-qubit
 //! [`BtwcDecoder::process_round_packed`] plus a hand-stepped
 //! [`QueueSim`], across randomized multi-qubit traces and **every**
-//! [`DecoderBackend`] variant.
+//! [`DecoderBackend`] variant (the sparse and LUT arms on both
+//! stabilizer types).
 //!
 //! This is the guarantee that makes the batched word-parallel filter a
 //! pure optimization: the machine may reorganize the work (transposed
@@ -51,6 +52,7 @@ const CUSTOM: DecoderBackend = DecoderBackend::Custom {
 #[allow(clippy::too_many_arguments)]
 fn pin_machine_against_reference(
     backend: DecoderBackend,
+    ty: StabilizerType,
     d: u16,
     num_qubits: usize,
     bandwidth: usize,
@@ -60,7 +62,6 @@ fn pin_machine_against_reference(
     feedback: bool,
 ) {
     let code = SurfaceCode::new(d);
-    let ty = StabilizerType::X;
     let n_anc = code.num_ancillas(ty);
 
     let mut machine =
@@ -94,7 +95,7 @@ fn pin_machine_against_reference(
         assert_eq!(
             cycle.outcomes, expected,
             "cycle {t}: batched outcomes diverged from the per-qubit loop \
-             ({backend:?}, d={d}, q={num_qubits})"
+             ({backend:?}, {ty:?}, d={d}, q={num_qubits})"
         );
 
         let offchip = expected.iter().filter(|o| o.went_offchip()).count();
@@ -121,13 +122,16 @@ fn pin_machine_against_reference(
         assert_eq!(
             machine.decoder_stats(q),
             dec.stats(),
-            "per-qubit stats diverged for qubit {q} ({backend:?}, d={d})"
+            "per-qubit stats diverged for qubit {q} ({backend:?}, {ty:?}, d={d})"
         );
     }
     let stats = machine.stats();
     assert_eq!(stats.cycles, cycles as u64);
     assert_eq!(stats.offchip_requests, total_offchip as u64);
-    assert!(total_offchip > 0, "trace must exercise the off-chip path ({backend:?}, d={d}, p={p})");
+    assert!(
+        total_offchip > 0,
+        "trace must exercise the off-chip path ({backend:?}, {ty:?}, d={d}, p={p})"
+    );
     assert!(stats.frame_bytes >= 16 * stats.offchip_requests, "every request ships a frame");
 }
 
@@ -136,6 +140,7 @@ fn dense_mwpm_matches_reference_loop() {
     for (d, cycles) in [(3u16, 1500), (5, 900), (9, 400)] {
         pin_machine_against_reference(
             DecoderBackend::DenseMwpm,
+            StabilizerType::X,
             d,
             4,
             1,
@@ -152,12 +157,27 @@ fn sparse_blossom_matches_reference_loop() {
     for (d, cycles) in [(3u16, 1500), (5, 900), (9, 400)] {
         pin_machine_against_reference(
             DecoderBackend::SparseBlossom,
+            StabilizerType::X,
             d,
             4,
             1,
             cycles,
             6e-3,
             0x5B + u64::from(d),
+            true,
+        );
+    }
+    // The Z plane (detecting X errors) over its own ancilla layout.
+    for (d, cycles) in [(3u16, 1500), (5, 900)] {
+        pin_machine_against_reference(
+            DecoderBackend::SparseBlossom,
+            StabilizerType::Z,
+            d,
+            4,
+            1,
+            cycles,
+            6e-3,
+            0x25B + u64::from(d),
             true,
         );
     }
@@ -168,6 +188,7 @@ fn union_find_matches_reference_loop() {
     for (d, cycles) in [(3u16, 3000), (5, 900), (9, 400)] {
         pin_machine_against_reference(
             DecoderBackend::UnionFind,
+            StabilizerType::X,
             d,
             4,
             1,
@@ -184,17 +205,20 @@ fn lut_matches_reference_loop() {
     // The exhaustive table is practical only at small distances
     // (2^(d²-1)/2 entries) — exactly the paper's point; d ∈ {3, 5}
     // still covers the variant across multiple geometries.
-    for (d, cycles) in [(3u16, 1500), (5, 600)] {
-        pin_machine_against_reference(
-            DecoderBackend::Lut,
-            d,
-            4,
-            1,
-            cycles,
-            6e-3,
-            0x107 + u64::from(d),
-            true,
-        );
+    for ty in [StabilizerType::X, StabilizerType::Z] {
+        for (d, cycles) in [(3u16, 1500), (5, 600)] {
+            pin_machine_against_reference(
+                DecoderBackend::Lut,
+                ty,
+                d,
+                4,
+                1,
+                cycles,
+                6e-3,
+                0x107 + u64::from(d),
+                true,
+            );
+        }
     }
 }
 
@@ -203,7 +227,17 @@ fn custom_backend_matches_reference_loop() {
     // No feedback: the parity "decoder" does not actually correct, so
     // closing the loop would runaway the error state on both sides.
     for (d, cycles) in [(3u16, 600), (5, 400), (9, 200)] {
-        pin_machine_against_reference(CUSTOM, d, 4, 2, cycles, 3e-3, 0xC5 + u64::from(d), false);
+        pin_machine_against_reference(
+            CUSTOM,
+            StabilizerType::X,
+            d,
+            4,
+            2,
+            cycles,
+            3e-3,
+            0xC5 + u64::from(d),
+            false,
+        );
     }
 }
 
@@ -211,5 +245,15 @@ fn custom_backend_matches_reference_loop() {
 fn more_qubits_than_a_word_still_match() {
     // 70 qubits cross the 64-bit plane boundary — the word-parallel
     // filter must stay exact past the first word.
-    pin_machine_against_reference(DecoderBackend::DenseMwpm, 3, 70, 3, 300, 6e-3, 0x70, true);
+    pin_machine_against_reference(
+        DecoderBackend::DenseMwpm,
+        StabilizerType::X,
+        3,
+        70,
+        3,
+        300,
+        6e-3,
+        0x70,
+        true,
+    );
 }

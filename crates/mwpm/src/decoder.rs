@@ -163,7 +163,7 @@ impl ComplexDecoder for MwpmDecoder {
 mod tests {
     use super::*;
     use btwc_lattice::DataQubit;
-    use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+    use btwc_noise::{PhenomenologicalNoise, SimRng};
 
     fn window_for(code: &SurfaceCode, errors: &[bool], rounds: usize) -> RoundHistory {
         let round = code.syndrome_of(StabilizerType::X, errors);

@@ -2,11 +2,11 @@
 //!
 //! Implements the paper's phenomenological noise model (Sec. 6.1): each
 //! cycle independently flips every data qubit with probability `p` and
-//! every syndrome measurement with the same probability `p`. Variants
-//! with independent data/measurement rates and a code-capacity model
-//! (no measurement errors) are provided for ablations.
+//! every syndrome measurement with the same probability `p`. Independent
+//! data/measurement rates are available for ablations (a zero
+//! measurement rate is the code-capacity model).
 //!
-//! Every model samples through [`SparseFlips`], a geometric-skip sampler
+//! The model samples through [`SparseFlips`], a geometric-skip sampler
 //! that draws once per flipped site plus once, instead of once per site.
 //! At the low error rates the paper sweeps (5e-4 … 5e-3) most calls flip
 //! nothing and end after that one draw without a logarithm, which is what
@@ -15,7 +15,7 @@
 //! # Example
 //!
 //! ```
-//! use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+//! use btwc_noise::{PhenomenologicalNoise, SimRng};
 //!
 //! let noise = PhenomenologicalNoise::uniform(1e-3);
 //! let mut rng = SimRng::from_seed(7);
@@ -28,6 +28,6 @@ mod model;
 mod rng;
 mod sparse;
 
-pub use model::{CodeCapacityNoise, NoiseModel, PhenomenologicalNoise};
+pub use model::PhenomenologicalNoise;
 pub use rng::SimRng;
 pub use sparse::SparseFlips;

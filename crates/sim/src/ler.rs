@@ -237,8 +237,8 @@ pub fn logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstimate {
 }
 
 /// [`logical_error_rate`] over `cfg`'s fixed shard plan on a
-/// `workers`-wide pool. The estimate is bit-identical for any worker
-/// count (see [`shard_plan`]).
+/// `workers`-wide pool. The plan depends only on `cfg`, so the estimate
+/// is bit-identical for any worker count.
 ///
 /// # Panics
 ///

@@ -7,9 +7,11 @@
 //!   cycle for millions of cycles: errors are injected, the Clique
 //!   frontend filters and decides, trivial decodes are corrected
 //!   on-chip, complex ones go to the space-time MWPM decoder. Produces
-//!   the signature distribution (Fig. 4), Clique coverage (Fig. 11),
-//!   the non-all-zeros on-chip fraction (Fig. 12), and — via the raw
-//!   syndrome weight histogram — the AFS bandwidth comparison (Fig. 13).
+//!   the operational per-cycle off-chip probability (Fig. 16) and — via
+//!   the raw syndrome weight histogram — the AFS bandwidth comparison
+//!   (Fig. 13). Figs. 4, 11 and 12 use the paper's independent-trial
+//!   method instead ([`signature_distribution_iid`],
+//!   [`coverage_sweep_iid`]).
 //! * **Shots** ([`logical_error_rate`]) — fixed windows of `d` noisy
 //!   rounds plus a perfect readout round, decoded either by MWPM alone
 //!   (the baseline) or by Clique+MWPM (the proposal), counting logical
@@ -28,10 +30,10 @@
 //! index and merged in shard order, so every result — [`LifetimeStats`],
 //! [`LerEstimate`], sweep points — is **bit-identical regardless of the
 //! worker count** (override it globally with `BTWC_WORKERS`). The grid
-//! sweeps ([`coverage_sweep`], [`coverage_sweep_iid`]) submit all
-//! `(p, d) × shard` tasks to one pool at once, so its shared queue
-//! balances cheap low-distance points against expensive high-distance ones
-//! instead of barriering per point; each point's seed is forked from
+//! sweep ([`coverage_sweep_iid`]) submits all `(p, d) × shard` tasks to
+//! one pool at once, so its shared queue balances cheap low-distance
+//! points against expensive high-distance ones instead of barriering
+//! per point; each point's seed is forked from
 //! its grid position ([`grid_point_seed`]), decorrelating points while
 //! keeping every one individually reproducible. Both engines pick
 //! their off-chip decoder through the unified [`DecoderBackend`]
@@ -75,7 +77,7 @@ pub use ler::{
 pub use lifetime::{LifetimeConfig, LifetimeSim, LifetimeStats};
 pub use machine::{machine_trace, MachineRun, MachineSpec};
 pub use sweep::{
-    afs_comparison, coverage_sweep, coverage_sweep_iid, grid_point_seed, signature_distribution,
-    signature_distribution_iid, AfsComparison, CoveragePoint, SignatureDistribution,
+    afs_comparison, coverage_sweep_iid, grid_point_seed, signature_distribution_iid, AfsComparison,
+    CoveragePoint, SignatureDistribution,
 };
 pub use tracker::ErrorTracker;

@@ -21,7 +21,7 @@ pub(crate) const SHARD_CYCLES: u64 = 8_192;
 /// RNG stream is forked from the root seed by shard index (see
 /// [`crate::shard`]). Merging the shard results in plan order therefore
 /// reproduces the same [`LifetimeStats`] on any pool.
-pub(crate) fn shard_plan(cfg: &LifetimeConfig) -> Vec<LifetimeConfig> {
+fn shard_plan(cfg: &LifetimeConfig) -> Vec<LifetimeConfig> {
     crate::shard::shard_streams(cfg.cycles, SHARD_CYCLES, cfg.seed, crate::shard::LIFETIME_STREAM)
         .into_iter()
         .map(|(cycles, rng)| {
@@ -336,28 +336,20 @@ impl LifetimeSim {
         (self.stats, trace)
     }
 
-    /// Runs `cfg` on a `workers`-wide pool and merges the statistics —
-    /// shorthand for [`LifetimeSim::run_pooled`] on a freshly sized
-    /// [`Pool`].
+    /// Runs `cfg`'s fixed shard plan on a `workers`-wide pool and
+    /// merges the shard statistics in plan order.
+    ///
+    /// The shard plan depends only on `cfg`, so the returned stats are
+    /// **bit-identical for any worker count** — the pool decides where
+    /// shards run, never what they compute.
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`.
     #[must_use]
     pub fn run_parallel(cfg: &LifetimeConfig, workers: usize) -> LifetimeStats {
-        Self::run_pooled(cfg, &Pool::new(workers))
-    }
-
-    /// Runs `cfg`'s fixed shard plan on `pool` and merges the shard
-    /// statistics in plan order.
-    ///
-    /// The shard plan depends only on `cfg` (see [`shard_plan`]), so
-    /// the returned stats are **bit-identical for any worker count** —
-    /// the pool decides where shards run, never what they compute.
-    #[must_use]
-    pub fn run_pooled(cfg: &LifetimeConfig, pool: &Pool) -> LifetimeStats {
         let plan = shard_plan(cfg);
-        let shard_stats = pool.map(&plan, |_, shard| LifetimeSim::new(shard).run());
+        let shard_stats = Pool::new(workers).map(&plan, |_, shard| LifetimeSim::new(shard).run());
         let mut merged: Option<LifetimeStats> = None;
         for stats in shard_stats {
             match &mut merged {

@@ -8,7 +8,7 @@ use btwc_pool::Pool;
 use btwc_syndrome::{PackedBits, Syndrome};
 use serde::Serialize;
 
-use crate::lifetime::{self, LifetimeConfig, LifetimeSim, LifetimeStats};
+use crate::lifetime::LifetimeStats;
 use crate::tracker::ErrorTracker;
 
 /// Independent trials per deterministic work shard of the iid engines
@@ -21,11 +21,11 @@ pub(crate) const SHARD_TRIALS: u64 = 16_384;
 ///
 /// Every grid point used to receive the *identical* root seed, which
 /// correlated the points (the same error history replayed on each
-/// distance). Forking by grid position — in the sweeps' own slice of
-/// the fork-stream space (see [`crate::shard`]), 20 bits per axis —
-/// decorrelates them while keeping each point individually
-/// reproducible: running [`LifetimeSim::run_parallel`] with this seed
-/// reproduces the sweep's point bit-for-bit, on any worker count.
+/// distance). Forking by grid position — in the sweep's own slice of
+/// the fork-stream space, 20 bits per axis — decorrelates them while
+/// keeping each point individually reproducible: running
+/// [`signature_distribution_iid`] with this seed reproduces the sweep's
+/// point bit-for-bit, on any worker count.
 ///
 /// # Panics
 ///
@@ -53,62 +53,6 @@ pub struct CoveragePoint {
     pub offchip_fraction: f64,
 }
 
-/// Sweeps Clique coverage over a `(p, d)` grid (Figs. 11–12).
-///
-/// Every `(point, shard)` task of the whole grid is submitted to one
-/// pool at once, so idle workers pull tasks across point
-/// boundaries — cheap d = 3 points no longer leave cores waiting on
-/// expensive d ≥ 13 ones at a per-point barrier. Each point's root seed
-/// comes from [`grid_point_seed`], so points are decorrelated yet
-/// individually reproducible, and the whole sweep is bit-identical for
-/// any worker count.
-#[must_use]
-pub fn coverage_sweep(
-    error_rates: &[f64],
-    distances: &[u16],
-    cycles: u64,
-    seed: u64,
-    workers: usize,
-) -> Vec<CoveragePoint> {
-    let pool = Pool::new(workers);
-    let mut points = Vec::with_capacity(error_rates.len() * distances.len());
-    let mut tasks = Vec::new();
-    for (pi, &p) in error_rates.iter().enumerate() {
-        for (di, &d) in distances.iter().enumerate() {
-            let cfg = LifetimeConfig::new(d, p)
-                .with_cycles(cycles)
-                .with_seed(grid_point_seed(seed, pi, di));
-            let point = points.len();
-            tasks.extend(lifetime::shard_plan(&cfg).into_iter().map(|shard| (point, shard)));
-            points.push(cfg);
-        }
-    }
-    let shard_stats = pool.map(&tasks, |_, (point, shard)| (*point, LifetimeSim::new(shard).run()));
-    // `map` returns in task order, i.e. shard order within each point:
-    // this merge is exactly the one `run_parallel` performs per point.
-    let mut merged: Vec<Option<LifetimeStats>> = vec![None; points.len()];
-    for (point, stats) in shard_stats {
-        match &mut merged[point] {
-            None => merged[point] = Some(stats),
-            Some(m) => m.merge(&stats),
-        }
-    }
-    points
-        .iter()
-        .zip(merged)
-        .map(|(cfg, stats)| {
-            let stats = stats.expect("every point has at least one shard");
-            CoveragePoint {
-                distance: cfg.distance,
-                physical_error_rate: cfg.physical_error_rate,
-                coverage: stats.coverage(),
-                nonzero_onchip: stats.nonzero_onchip_fraction(),
-                offchip_fraction: stats.offchip_fraction(),
-            }
-        })
-        .collect()
-}
-
 /// One column of Fig. 4: the signature-class distribution for a
 /// `(p, d)` scenario.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -125,30 +69,6 @@ pub struct SignatureDistribution {
     pub local_ones: f64,
     /// Fraction flagged complex.
     pub complex: f64,
-}
-
-/// Measures one Fig. 4 column.
-#[must_use]
-pub fn signature_distribution(
-    label: &str,
-    distance: u16,
-    physical_error_rate: f64,
-    cycles: u64,
-    seed: u64,
-    workers: usize,
-) -> SignatureDistribution {
-    let cfg =
-        LifetimeConfig::new(distance, physical_error_rate).with_cycles(cycles).with_seed(seed);
-    let stats = LifetimeSim::run_parallel(&cfg, workers);
-    let n = stats.cycles as f64;
-    SignatureDistribution {
-        label: label.to_owned(),
-        distance,
-        physical_error_rate,
-        all_zeros: stats.all_zeros as f64 / n,
-        local_ones: stats.trivial as f64 / n,
-        complex: stats.complex as f64 / n,
-    }
 }
 
 /// Measures one Fig. 4 column the way the paper does — independent
@@ -247,9 +167,17 @@ fn iid_trial_shard(distance: u16, p: f64, n: u64, mut rng: SimRng) -> [u64; 3] {
 
 /// Sweeps the iid per-signature Clique coverage over a `(p, d)` grid —
 /// the paper's Figs. 11/12 methodology (independent trials, like
-/// Fig. 4). The *operational* stream coverage, which compounds
-/// in-flight errors across cycles and is what the bandwidth provisioner
-/// must plan for, comes from [`coverage_sweep`] instead.
+/// Fig. 4).
+///
+/// Every `(point, shard)` trial batch of the whole grid is submitted to
+/// one pool at once, so idle workers pull tasks across point
+/// boundaries instead of waiting at a per-point barrier. Each point's
+/// root seed comes from [`grid_point_seed`], so every point equals the
+/// [`signature_distribution_iid`] run with that seed, and the whole
+/// sweep is bit-identical for any worker count. The *operational*
+/// stream coverage, which compounds in-flight errors across cycles and
+/// is what the bandwidth provisioner must plan for, comes from a
+/// lifetime run instead ([`LifetimeStats::coverage`]).
 #[must_use]
 pub fn coverage_sweep_iid(
     error_rates: &[f64],
@@ -259,9 +187,6 @@ pub fn coverage_sweep_iid(
     workers: usize,
 ) -> Vec<CoveragePoint> {
     let pool = Pool::new(workers);
-    // Whole-grid schedule, as in [`coverage_sweep`]: all (point, shard)
-    // trial batches go into one pool, with per-point seeds forked by
-    // grid position.
     let mut points = Vec::with_capacity(error_rates.len() * distances.len());
     let mut tasks = Vec::new();
     for (pi, &p) in error_rates.iter().enumerate() {
@@ -367,10 +292,11 @@ impl AfsComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifetime::{LifetimeConfig, LifetimeSim};
 
     #[test]
     fn coverage_sweep_has_expected_grid() {
-        let pts = coverage_sweep(&[1e-3, 5e-3], &[3, 5], 10_000, 1, 2);
+        let pts = coverage_sweep_iid(&[1e-3, 5e-3], &[3, 5], 10_000, 1, 2);
         assert_eq!(pts.len(), 4);
         for p in &pts {
             assert!((0.0..=1.0).contains(&p.coverage));
@@ -382,7 +308,7 @@ mod tests {
     #[test]
     fn coverage_decreases_with_distance_at_fixed_p() {
         // Fig. 11: more ancillas, more chances for complex patterns.
-        let pts = coverage_sweep(&[5e-3], &[3, 9], 60_000, 7, 4);
+        let pts = coverage_sweep_iid(&[5e-3], &[3, 9], 60_000, 7, 4);
         assert!(
             pts[0].coverage > pts[1].coverage,
             "d=3 {} vs d=9 {}",
@@ -393,7 +319,7 @@ mod tests {
 
     #[test]
     fn distribution_fractions_sum_to_one() {
-        let dist = signature_distribution("1E-3 (5)", 5, 1e-3, 20_000, 3, 2);
+        let dist = signature_distribution_iid("1E-3 (5)", 5, 1e-3, 20_000, 3, 2);
         let total = dist.all_zeros + dist.local_ones + dist.complex;
         assert!((total - 1.0).abs() < 1e-9);
         assert!(dist.all_zeros > dist.complex, "common case dominates");

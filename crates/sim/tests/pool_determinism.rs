@@ -8,8 +8,8 @@
 //! forcing every pool to one worker).
 
 use btwc_sim::{
-    coverage_sweep, coverage_sweep_iid, grid_point_seed, logical_error_rate_parallel,
-    signature_distribution_iid, DecoderKind, LifetimeConfig, LifetimeSim, ShotConfig,
+    coverage_sweep_iid, grid_point_seed, logical_error_rate_parallel, signature_distribution_iid,
+    DecoderKind, LifetimeConfig, LifetimeSim, ShotConfig,
 };
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -41,20 +41,6 @@ fn ler_estimate_identical_across_worker_counts() {
 }
 
 #[test]
-fn coverage_sweep_identical_across_worker_counts() {
-    let rates = [1e-3, 5e-3];
-    let distances = [3u16, 5];
-    let reference = coverage_sweep(&rates, &distances, 10_000, 7, 1);
-    for workers in &WORKER_COUNTS[1..] {
-        assert_eq!(
-            coverage_sweep(&rates, &distances, 10_000, 7, *workers),
-            reference,
-            "workers={workers}"
-        );
-    }
-}
-
-#[test]
 fn coverage_sweep_iid_identical_across_worker_counts() {
     let rates = [1e-3, 5e-3];
     let distances = [3u16, 5];
@@ -78,28 +64,6 @@ fn signature_distribution_iid_identical_across_worker_counts() {
             reference,
             "workers={workers}"
         );
-    }
-}
-
-#[test]
-fn sweep_points_are_individually_reproducible() {
-    // A sweep point re-run alone with its grid seed reproduces the
-    // sweep's value bit-for-bit — the whole-grid schedule only moves
-    // work, never changes it.
-    let rates = [1e-3, 5e-3];
-    let distances = [3u16, 5];
-    let sweep = coverage_sweep(&rates, &distances, 10_000, 21, 4);
-    for (pi, &p) in rates.iter().enumerate() {
-        for (di, &d) in distances.iter().enumerate() {
-            let cfg = LifetimeConfig::new(d, p)
-                .with_cycles(10_000)
-                .with_seed(grid_point_seed(21, pi, di));
-            let stats = LifetimeSim::run_parallel(&cfg, 2);
-            let point = sweep[pi * distances.len() + di];
-            assert_eq!(point.coverage, stats.coverage(), "p={p} d={d}");
-            assert_eq!(point.nonzero_onchip, stats.nonzero_onchip_fraction(), "p={p} d={d}");
-            assert_eq!(point.offchip_fraction, stats.offchip_fraction(), "p={p} d={d}");
-        }
     }
 }
 

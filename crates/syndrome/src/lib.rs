@@ -1,11 +1,10 @@
-//! Syndrome extraction, multi-round history, and signature taxonomy.
+//! Syndrome extraction and multi-round history.
 //!
 //! Sits between the lattice ([`btwc_lattice`]) and the decoders: it turns
-//! error configurations into per-cycle syndrome bit vectors, maintains
-//! the sliding window of measurement rounds that both the Clique
-//! decoder's sticky filter (paper Fig. 7) and the MWPM decoder's
-//! space-time matching consume, and classifies signatures into the
-//! paper's Fig. 4 taxonomy (All-0s / Local-1s / Complex).
+//! error configurations into per-cycle syndrome bit vectors and
+//! maintains the sliding window of measurement rounds that both the
+//! Clique decoder's sticky filter (paper Fig. 7) and the MWPM decoder's
+//! space-time matching consume.
 //!
 //! Syndromes are stored word-packed ([`PackedBits`]): XOR/AND/OR, zero
 //! tests, and weight counts are word-parallel, and the sticky filter /
@@ -32,7 +31,6 @@
 //! ```
 
 mod batch;
-mod classify;
 mod complex;
 mod correction;
 mod history;
@@ -40,7 +38,6 @@ mod packed;
 mod repr;
 
 pub use batch::{BatchHistory, SyndromeBatch};
-pub use classify::{classify_true, SignatureClass};
 pub use complex::ComplexDecoder;
 pub use correction::Correction;
 pub use history::{DetectionEvent, RoundHistory};

@@ -15,7 +15,7 @@
 //! decoders.
 
 use btwc_lattice::{StabilizerType, SurfaceCode};
-use btwc_noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+use btwc_noise::{PhenomenologicalNoise, SimRng};
 use btwc_syndrome::RoundHistory;
 
 /// Samples one noisy measurement round: accumulates fresh data errors
@@ -28,7 +28,7 @@ use btwc_syndrome::RoundHistory;
 pub fn noisy_round(
     code: &SurfaceCode,
     ty: StabilizerType,
-    noise: &impl NoiseModel,
+    noise: &PhenomenologicalNoise,
     rng: &mut SimRng,
     errors: &mut [bool],
     meas: &mut [bool],

@@ -15,7 +15,7 @@
 
 use btwc::bandwidth::IoModel;
 use btwc::core::{BtwcMachine, DecoderBackend, StabilizerType, SurfaceCode, SyndromeBatch};
-use btwc::noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+use btwc::noise::{PhenomenologicalNoise, SimRng};
 use btwc::telemetry::{Domain, MetricValue, MetricsRegistry};
 
 /// Writes the cycle-domain snapshot to `TELEMETRY_machine.json` and

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use btwc::core::{BtwcDecoder, BtwcOutcome, StabilizerType, SurfaceCode};
-use btwc::noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+use btwc::noise::{PhenomenologicalNoise, SimRng};
 
 fn main() {
     let distance = 5;

@@ -2,7 +2,7 @@
 //! the public facade, exercising every subsystem together.
 
 use btwc::core::{BtwcDecoder, StabilizerType, SurfaceCode};
-use btwc::noise::{NoiseModel, PhenomenologicalNoise, SimRng};
+use btwc::noise::{PhenomenologicalNoise, SimRng};
 
 /// Drives a decoder against live noise and returns (coverage, final
 /// syndrome weight).

@@ -150,40 +150,3 @@ fn machine_transport_loop_works_for_every_builtin_backend() {
         assert_eq!(machine.backend_name(), backend.name());
     }
 }
-
-#[test]
-fn dual_decoder_demand_feeds_the_provisioner() {
-    use btwc::core::DualBtwcDecoder;
-    use btwc::noise::{NoiseModel, PhenomenologicalNoise, SimRng};
-
-    let code = SurfaceCode::new(5);
-    let mut dec = DualBtwcDecoder::new(&code);
-    let noise = PhenomenologicalNoise::uniform(5e-3);
-    let mut rng = SimRng::from_seed(0x77);
-    let mut z_err = vec![false; code.num_data_qubits()];
-    let mut x_err = vec![false; code.num_data_qubits()];
-    let mut offchip_cycles = 0usize;
-    let cycles = 10_000;
-    for _ in 0..cycles {
-        noise.sample_data_into(&mut rng, &mut z_err);
-        noise.sample_data_into(&mut rng, &mut x_err);
-        let xr = code.syndrome_of(StabilizerType::X, &z_err);
-        let zr = code.syndrome_of(StabilizerType::Z, &x_err);
-        let out = dec.process_rounds(&xr, &zr);
-        offchip_cycles += usize::from(out.went_offchip());
-        if let Some(c) = out.z_correction() {
-            c.apply_to(&mut z_err);
-        }
-        if let Some(c) = out.x_correction() {
-            c.apply_to(&mut x_err);
-        }
-    }
-    // The dual off-chip rate is bounded by the sum of the plane rates
-    // and bounded below by each individual plane's rate.
-    let (sx, sz) = dec.stats();
-    let dual_rate = offchip_cycles as f64 / cycles as f64;
-    let x_rate = sx.offchip as f64 / cycles as f64;
-    let z_rate = sz.offchip as f64 / cycles as f64;
-    assert!(dual_rate >= x_rate.max(z_rate) - 1e-12);
-    assert!(dual_rate <= x_rate + z_rate + 1e-12);
-}
