@@ -1,20 +1,20 @@
-//! Minimal bit-level I/O used by the compression codecs.
+//! Minimal bit-level I/O used by the sparse-representation codec.
 
 /// Append-only bit buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BitWriter {
+#[derive(Debug, Default)]
+pub(crate) struct BitWriter {
     bits: Vec<bool>,
 }
 
 impl BitWriter {
     /// An empty buffer.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a single bit.
-    pub fn push_bit(&mut self, bit: bool) {
+    pub(crate) fn push_bit(&mut self, bit: bool) {
         self.bits.push(bit);
     }
 
@@ -23,7 +23,7 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `width > 64` or `value` does not fit in `width` bits.
-    pub fn push_uint(&mut self, value: u64, width: usize) {
+    pub(crate) fn push_uint(&mut self, value: u64, width: usize) {
         assert!(width <= 64, "width {width} exceeds u64");
         assert!(
             width == 64 || value < (1u64 << width),
@@ -34,28 +34,16 @@ impl BitWriter {
         }
     }
 
-    /// Number of bits written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
     /// Consumes the writer, returning the bit vector.
     #[must_use]
-    pub fn into_bits(self) -> Vec<bool> {
+    pub(crate) fn into_bits(self) -> Vec<bool> {
         self.bits
     }
 }
 
 /// Sequential reader over an encoded bit vector.
-#[derive(Debug, Clone)]
-pub struct BitReader<'a> {
+#[derive(Debug)]
+pub(crate) struct BitReader<'a> {
     bits: &'a [bool],
     pos: usize,
 }
@@ -63,7 +51,7 @@ pub struct BitReader<'a> {
 impl<'a> BitReader<'a> {
     /// Starts reading at the first bit.
     #[must_use]
-    pub fn new(bits: &'a [bool]) -> Self {
+    pub(crate) fn new(bits: &'a [bool]) -> Self {
         Self { bits, pos: 0 }
     }
 
@@ -72,7 +60,7 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics on exhausted input.
-    pub fn read_bit(&mut self) -> bool {
+    pub(crate) fn read_bit(&mut self) -> bool {
         assert!(self.pos < self.bits.len(), "bit stream exhausted");
         let b = self.bits[self.pos];
         self.pos += 1;
@@ -84,7 +72,7 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics on exhausted input or `width > 64`.
-    pub fn read_uint(&mut self, width: usize) -> u64 {
+    pub(crate) fn read_uint(&mut self, width: usize) -> u64 {
         assert!(width <= 64, "width {width} exceeds u64");
         let mut v = 0u64;
         for _ in 0..width {
@@ -92,17 +80,11 @@ impl<'a> BitReader<'a> {
         }
         v
     }
-
-    /// Bits remaining.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.bits.len() - self.pos
-    }
 }
 
 /// Number of bits needed to represent values in `[0, n)` (at least 1).
 #[must_use]
-pub fn index_width(n: usize) -> usize {
+pub(crate) fn index_width(n: usize) -> usize {
     if n <= 1 {
         1
     } else {
@@ -125,7 +107,7 @@ mod tests {
         assert!(r.read_bit());
         assert!(!r.read_bit());
         assert!(r.read_bit());
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(bits.len(), 3);
     }
 
     #[test]

@@ -8,15 +8,14 @@
 //! `1 + O(k·log N)` bits and degrades quickly as the error rate or code
 //! distance grows.
 //!
-//! This crate implements the full baseline: a real bit-level encoder /
-//! decoder for sparse representation, a run-length scheme, the raw
-//! fallback, and AFS's dynamic best-of-N selection, plus the statistics
-//! accumulator that feeds the Fig. 13 comparison.
+//! This crate implements that one scheme as a real bit-level encoder /
+//! decoder, [`SparseRepr`]; `btwc_sim::afs_comparison` prices every
+//! syndrome weight of Fig. 13 through it.
 //!
 //! # Example
 //!
 //! ```
-//! use btwc_afs::{Compressor, SparseRepr};
+//! use btwc_afs::SparseRepr;
 //! use btwc_syndrome::Syndrome;
 //!
 //! let mut syndrome = Syndrome::new(24);
@@ -29,8 +28,5 @@
 
 mod bits;
 mod codec;
-mod stats;
 
-pub use bits::{BitReader, BitWriter};
-pub use codec::{Compressor, DynamicCompressor, RawRepr, RunLength, SparseRepr};
-pub use stats::CompressionStats;
+pub use codec::SparseRepr;

@@ -1,7 +1,7 @@
-//! Property-based tests: every codec is lossless on arbitrary syndromes
-//! and the dynamic selector is never beaten by its own candidates.
+//! Property-based tests: the sparse-representation codec is lossless on
+//! arbitrary syndromes and its cost is monotone in syndrome weight.
 
-use btwc_afs::{Compressor, DynamicCompressor, RawRepr, RunLength, SparseRepr};
+use btwc_afs::SparseRepr;
 use btwc_syndrome::{PackedBits, Syndrome};
 use proptest::prelude::*;
 
@@ -16,36 +16,6 @@ proptest! {
     fn sparse_roundtrips(s in syndrome_strategy()) {
         let codec = SparseRepr::new(s.len());
         prop_assert_eq!(codec.decode(&codec.encode(&s)), s);
-    }
-
-    #[test]
-    fn rle_roundtrips(s in syndrome_strategy()) {
-        let codec = RunLength::new(s.len());
-        prop_assert_eq!(codec.decode(&codec.encode(&s)), s);
-    }
-
-    #[test]
-    fn raw_roundtrips(s in syndrome_strategy()) {
-        let codec = RawRepr::new(s.len());
-        prop_assert_eq!(codec.decode(&codec.encode(&s)), s);
-    }
-
-    #[test]
-    fn dynamic_roundtrips_and_wins(s in syndrome_strategy()) {
-        let n = s.len();
-        let dynamic = DynamicCompressor::new(n);
-        let bits = dynamic.encode(&s);
-        prop_assert_eq!(dynamic.decode(&bits), s.clone());
-        // The dynamic pick is the best candidate plus the 2-bit tag.
-        let best = [
-            SparseRepr::new(n).encoded_len(&s),
-            RunLength::new(n).encoded_len(&s),
-            RawRepr::new(n).encoded_len(&s),
-        ]
-        .into_iter()
-        .min()
-        .unwrap();
-        prop_assert_eq!(bits.len(), best + 2);
     }
 
     /// AFS's structural weakness from the paper: sparse-representation

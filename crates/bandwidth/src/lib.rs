@@ -26,7 +26,6 @@
 //! assert!(outcome.execution_time_increase() < 0.05);
 //! ```
 
-mod analytic;
 mod arrivals;
 mod fault;
 mod io;
@@ -34,7 +33,6 @@ mod queue;
 mod tradeoff;
 mod transport;
 
-pub use analytic::{gaussian_bandwidth, is_stable, normal_quantile};
 pub use arrivals::ArrivalModel;
 pub use fault::{Delivery, FaultyLink, LinkFaultModel, LinkFaultStats, Transmission};
 pub use io::IoModel;

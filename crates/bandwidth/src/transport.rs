@@ -330,8 +330,8 @@ fn unpack_rounds(data: &[u8], n_rounds: usize, width: usize) -> Vec<PackedBits> 
 pub enum SeqStatus {
     /// The next expected number: a fresh request (tracker advanced).
     Fresh,
-    /// A number already accepted: a duplicated or late (reordered)
-    /// delivery — safe to discard.
+    /// A number behind the expected one: a duplicated or late
+    /// (reordered) delivery — safe to discard.
     Duplicate,
 }
 
@@ -360,19 +360,23 @@ impl SequenceTracker {
     /// is [`SeqStatus::Fresh`]; anything older is a
     /// [`SeqStatus::Duplicate`].
     ///
+    /// Sequence numbers wrap, so "older" is serial-number arithmetic:
+    /// `seq` is behind the expected number when `seq − expected`
+    /// (mod 2³²) lies in the upper half of the space.
+    ///
     /// # Errors
     ///
     /// [`ParseFrameError::SequenceGap`] if `seq` is from the future —
     /// the frames in between were lost. The tracker does *not* advance;
     /// the caller decides whether to [`SequenceTracker::resync`].
     pub fn accept(&mut self, seq: u32) -> Result<SeqStatus, ParseFrameError> {
-        if seq == self.next {
-            self.next = self.next.wrapping_add(1);
-            Ok(SeqStatus::Fresh)
-        } else if seq < self.next {
-            Ok(SeqStatus::Duplicate)
-        } else {
-            Err(ParseFrameError::SequenceGap { expected: self.next, got: seq })
+        match seq.wrapping_sub(self.next) {
+            0 => {
+                self.next = self.next.wrapping_add(1);
+                Ok(SeqStatus::Fresh)
+            }
+            ahead if ahead > u32::MAX / 2 => Ok(SeqStatus::Duplicate),
+            _ => Err(ParseFrameError::SequenceGap { expected: self.next, got: seq }),
         }
     }
 
@@ -508,6 +512,18 @@ mod tests {
         assert_eq!(tr.expected(), 2, "a gap must not advance the tracker");
         tr.resync(5);
         assert_eq!(tr.accept(5), Ok(SeqStatus::Fresh));
+    }
+
+    #[test]
+    fn sequence_tracker_classifies_across_wraparound() {
+        let mut tr = SequenceTracker::new();
+        tr.resync(u32::MAX);
+        assert_eq!(tr.accept(u32::MAX), Ok(SeqStatus::Fresh));
+        assert_eq!(tr.expected(), 0);
+        assert_eq!(tr.accept(u32::MAX), Ok(SeqStatus::Duplicate));
+        assert_eq!(tr.accept(3), Err(ParseFrameError::SequenceGap { expected: 0, got: 3 }));
+        assert_eq!(tr.accept(0), Ok(SeqStatus::Fresh));
+        assert_eq!(tr.accept(u32::MAX), Ok(SeqStatus::Duplicate));
     }
 
     #[test]

@@ -155,11 +155,12 @@ proptest! {
     }
 
     /// The sequence tracker tells a retransmitted duplicate from the
-    /// next fresh request for any starting sequence number and any
-    /// duplication count, and flags any gap without advancing.
+    /// next fresh request for any starting sequence number (across the
+    /// `u32` wraparound too) and any duplication count, and flags any gap
+    /// without advancing.
     #[test]
     fn sequence_tracker_classifies_duplicates_and_gaps(
-        start in 0u32..u32::MAX - 64,
+        start in any::<u32>(),
         dups in 0usize..4,
         gap in 2u32..32,
     ) {
@@ -171,15 +172,17 @@ proptest! {
         for _ in 0..dups {
             prop_assert_eq!(tracker.accept(start), Ok(SeqStatus::Duplicate));
         }
-        prop_assert_eq!(tracker.expected(), start + 1);
+        let next = start.wrapping_add(1);
+        prop_assert_eq!(tracker.expected(), next);
         // A reordered (future) frame is a gap: flagged, not accepted.
+        let future = start.wrapping_add(gap);
         prop_assert_eq!(
-            tracker.accept(start + gap),
-            Err(ParseFrameError::SequenceGap { expected: start + 1, got: start + gap })
+            tracker.accept(future),
+            Err(ParseFrameError::SequenceGap { expected: next, got: future })
         );
-        prop_assert_eq!(tracker.expected(), start + 1, "a gap must not advance the tracker");
+        prop_assert_eq!(tracker.expected(), next, "a gap must not advance the tracker");
         // The in-order successor is still fresh after all of the above.
-        prop_assert_eq!(tracker.accept(start + 1), Ok(SeqStatus::Fresh));
+        prop_assert_eq!(tracker.accept(next), Ok(SeqStatus::Fresh));
     }
 }
 

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use btwc_afs::{Compressor, DynamicCompressor, SparseRepr};
+use btwc_afs::SparseRepr;
 use btwc_bench::baseline::{sample_noisy_rounds, sample_noisy_window, BoolVecHistory};
 use btwc_clique::{CliqueDecoder, CliqueFrontend};
 use btwc_lattice::{StabilizerType, SurfaceCode};
@@ -348,7 +348,6 @@ fn bench_afs_compression(c: &mut Criterion) {
     let code = SurfaceCode::new(15);
     let n = code.num_ancillas(StabilizerType::X);
     let sparse = SparseRepr::new(n);
-    let dynamic = DynamicCompressor::new(n);
     let mut rng = SimRng::from_seed(6);
     let syndromes: Vec<Syndrome> =
         (0..256).map(|_| random_syndrome(&mut rng, &code, 2e-3)).collect();
@@ -357,13 +356,6 @@ fn bench_afs_compression(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % syndromes.len();
             black_box(sparse.encode(&syndromes[i]))
-        });
-    });
-    group.bench_function("dynamic", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % syndromes.len();
-            black_box(dynamic.encode(&syndromes[i]))
         });
     });
     group.finish();

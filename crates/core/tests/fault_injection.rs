@@ -23,7 +23,7 @@ use btwc_core::{
     MachineStats, StabilizerType, SurfaceCode, SyndromeBatch, TransportStats,
 };
 use btwc_noise::{PhenomenologicalNoise, SimRng};
-use btwc_telemetry::{Domain, MetricsRegistry};
+use btwc_telemetry::{Domain, MetricValue, MetricsRegistry};
 use btwc_testutil::noisy_round;
 
 const D: u16 = 5;
@@ -219,16 +219,17 @@ fn hostile_link_never_wedges_the_machine() {
     let degraded: u64 =
         trace.iter().flat_map(|c| &c.outcomes).filter(|o| o.was_degraded()).count() as u64;
     assert_eq!(degraded, transport.degraded_decodes);
-    for q in 0..8 {
-        assert_eq!(
-            registry
-                .snapshot_domains(&[Domain::Cycles])
-                .get_counter("machine.degraded_decodes")
-                .unwrap_or(0),
-            transport.degraded_decodes
-        );
-        let _ = machine.degraded_decodes(q);
-    }
+    let snap = registry.snapshot_domains(&[Domain::Cycles]);
+    assert_eq!(snap.get_counter("machine.degraded_decodes"), Some(transport.degraded_decodes));
+    // Per-qubit attribution: the accessors sum to the aggregate, and the
+    // `machine.qubit_degraded_decodes` family mirrors them slot by slot.
+    let per_qubit: Vec<u64> = (0..8).map(|q| machine.degraded_decodes(q)).collect();
+    assert_eq!(per_qubit.iter().sum::<u64>(), transport.degraded_decodes);
+    assert_eq!(
+        snap.get("machine.qubit_degraded_decodes"),
+        Some(&MetricValue::Values(per_qubit)),
+        "the per-qubit family must equal degraded_decodes(q) for every q"
+    );
     // Retransmission pressure is real but bounded: the backlog never
     // ran away.
     assert!(

@@ -2,6 +2,7 @@
 //! groups, and telemetry aggregation. This file is on the analyzer's PANIC-HOT list
 //! — the dispatch path must stay free of `unwrap`/`expect`/`panic!`.
 
+use btwc_bandwidth::QueueSim;
 use btwc_core::{
     ComplexDecoder, DecoderBackend, EscalationJob, RejectReason, ServiceResponse, StabilizerType,
     SurfaceCode,
@@ -155,8 +156,9 @@ pub struct DecodeFarm {
     slots: Vec<DecoderSlot>,
     registry: MetricsRegistry,
     metrics: FarmMetrics,
-    /// Modeled queue backlog carried across cycles.
-    backlog: u64,
+    /// Modeled queue: its backlog carries across cycles and drains
+    /// `service_rate` (clamped to ≥ 1) jobs per cycle.
+    queue: QueueSim,
     cycle: u64,
     exports: Vec<SnapshotExport>,
 }
@@ -176,7 +178,7 @@ impl DecodeFarm {
             slots: Vec::new(),
             registry,
             metrics,
-            backlog: 0,
+            queue: QueueSim::new(config.service_rate.max(1) as usize),
             cycle: 0,
             exports: Vec::new(),
         }
@@ -239,7 +241,8 @@ impl DecodeFarm {
         submissions: &[TenantSubmission<'_>],
     ) -> Vec<Vec<ServiceResponse>> {
         self.cycle += 1;
-        let rate = self.config.service_rate.max(1);
+        let rate = self.queue.bandwidth() as u64;
+        let backlog = self.queue.backlog() as u64;
         let capacity = self.config.queue_capacity;
 
         // Admission pass: sequential, in submission order.
@@ -262,7 +265,7 @@ impl DecodeFarm {
                     out.push(ServiceResponse::Rejected(RejectReason::QueueFull));
                     continue;
                 };
-                let position = self.backlog + admitted;
+                let position = backlog + admitted;
                 if position >= capacity {
                     self.metrics.rejected_queue_full.inc();
                     out.push(ServiceResponse::Rejected(RejectReason::QueueFull));
@@ -325,9 +328,10 @@ impl DecodeFarm {
 
         // Queue model tail: the backlog drains `rate` per cycle.
         self.metrics.decoded.add(admitted);
-        self.backlog = (self.backlog + admitted).saturating_sub(rate);
-        self.metrics.queue_depth.set(self.backlog.min(i64::MAX as u64) as i64);
-        self.metrics.queue_depth_hist.record(self.backlog);
+        self.queue.step(admitted as usize);
+        let backlog = self.queue_depth();
+        self.metrics.queue_depth.set(backlog.min(i64::MAX as u64) as i64);
+        self.metrics.queue_depth_hist.record(backlog);
 
         if let Some(cadence) = self.config.snapshot_cadence {
             if cadence > 0 && self.cycle.is_multiple_of(cadence) {
@@ -372,7 +376,7 @@ impl DecodeFarm {
     /// `farm.queue_depth` gauge).
     #[must_use]
     pub fn queue_depth(&self) -> u64 {
-        self.backlog
+        self.queue.backlog() as u64
     }
 
     /// Farm cycles serviced so far.

@@ -25,10 +25,11 @@
 //!   pinned by this crate's `batching` proptest), dispatching
 //!   independent decoder slots in parallel on the workspace [`Pool`]'s
 //!   persistent workers;
-//! * models **queueing like [`QueueSim`]** does for the link: decodes
+//! * models **queueing with the link's own [`QueueSim`]**: decodes
 //!   complete synchronously within the step (so the lockstep driver
 //!   stays deterministic for any `BTWC_WORKERS`), while the *modeled*
-//!   backlog drains at `service_rate` jobs per cycle and each admitted
+//!   backlog is a `QueueSim` stepped once per cycle with that cycle's
+//!   admissions, draining `service_rate` jobs per cycle; each admitted
 //!   job is charged its queue position's delay on the latency
 //!   histograms — plus a live `farm.queue_depth` gauge;
 //! * **aggregates telemetry**: every tenant registers its

@@ -1,6 +1,6 @@
 //! Parameter sweeps backing Figs. 4, 11, 12 and 13.
 
-use btwc_afs::{Compressor, SparseRepr};
+use btwc_afs::SparseRepr;
 use btwc_clique::{CliqueDecision, CliqueDecoder};
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_noise::{SimRng, SparseFlips};
