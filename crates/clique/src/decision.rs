@@ -17,12 +17,6 @@ pub enum CliqueDecision {
 }
 
 impl CliqueDecision {
-    /// Whether this decision keeps the decode on-chip.
-    #[must_use]
-    pub fn is_on_chip(&self) -> bool {
-        !matches!(self, CliqueDecision::Complex)
-    }
-
     /// The correction, if one was produced.
     #[must_use]
     pub fn correction(&self) -> Option<&Correction> {
@@ -39,9 +33,6 @@ mod tests {
 
     #[test]
     fn decision_helpers() {
-        assert!(CliqueDecision::AllZeros.is_on_chip());
-        assert!(CliqueDecision::Trivial(Correction::new()).is_on_chip());
-        assert!(!CliqueDecision::Complex.is_on_chip());
         assert!(CliqueDecision::Complex.correction().is_none());
         let d = CliqueDecision::Trivial(Correction::from_flips(vec![1]));
         assert_eq!(d.correction().unwrap().qubits(), &[1]);

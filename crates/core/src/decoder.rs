@@ -3,7 +3,6 @@
 use btwc_clique::{CliqueDecision, CliqueFrontend};
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_lut::LutDecoder;
-use btwc_mwpm::MwpmDecoder;
 use btwc_sparse::SparseDecoder;
 use btwc_syndrome::{Correction, PackedBits, RoundHistory};
 use btwc_uf::UnionFindDecoder;
@@ -22,21 +21,18 @@ pub type BackendFactory = fn(&SurfaceCode, StabilizerType) -> Box<dyn ComplexDec
 /// [`BtwcBuilder::backend`], [`crate::MachineBuilder::backend`], and
 /// (via re-export) the sim configs' `with_backend`.
 ///
-/// [`DecoderBackend::DenseMwpm`] and [`DecoderBackend::SparseBlossom`]
-/// are *exact* minimum-weight perfect matchers — weight-equal on every
-/// input — so choosing between them is purely a cost-model decision
-/// (sparse wins from d ≳ 13 at operational rates).
-/// [`DecoderBackend::UnionFind`] trades a small accuracy loss for
-/// almost-linear decoding; [`DecoderBackend::Lut`] is the
+/// The default, [`DecoderBackend::SparseBlossom`], is the exact
+/// minimum-weight perfect matcher: its total matching weight equals the
+/// dense O(n³) blossom's (`btwc_mwpm::MwpmDecoder`, kept as the test
+/// oracle) on every input, and it is the faster of the two at every
+/// distance. [`DecoderBackend::UnionFind`] trades a small accuracy loss
+/// for almost-linear decoding; [`DecoderBackend::Lut`] is the
 /// LILLIPUT-style O(1) table for small distances.
 #[derive(Clone, Copy, Default)]
 pub enum DecoderBackend {
-    /// The dense O(n³) blossom over all event pairs ([`MwpmDecoder`]) —
-    /// the paper-faithful baseline.
-    #[default]
-    DenseMwpm,
     /// Sparse-blossom region growth + per-cluster matching
-    /// ([`SparseDecoder`]).
+    /// ([`SparseDecoder`]) — exact MWPM, the paper's off-chip tier.
+    #[default]
     SparseBlossom,
     /// Almost-linear cluster growth and peeling ([`UnionFindDecoder`],
     /// the Sec. 8.1 hierarchy tier).
@@ -73,7 +69,6 @@ impl DecoderBackend {
         ty: StabilizerType,
     ) -> Box<dyn ComplexDecoder + Send + Sync> {
         match self {
-            DecoderBackend::DenseMwpm => Box::new(MwpmDecoder::new(code, ty)),
             DecoderBackend::SparseBlossom => Box::new(SparseDecoder::new(code, ty)),
             DecoderBackend::UnionFind => Box::new(UnionFindDecoder::new(code, ty)),
             DecoderBackend::Lut => Box::new(LutDecoder::build(code, ty)),
@@ -85,7 +80,6 @@ impl DecoderBackend {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            DecoderBackend::DenseMwpm => "dense-mwpm",
             DecoderBackend::SparseBlossom => "sparse-blossom",
             DecoderBackend::UnionFind => "union-find",
             DecoderBackend::Lut => "lut",
@@ -107,7 +101,7 @@ impl PartialEq for DecoderBackend {
         // Compare variant identity plus registered name, never the
         // factory address: function pointer comparisons are unreliable
         // across codegen units. The discriminant check keeps a Custom
-        // backend that reuses a built-in token (e.g. "dense-mwpm")
+        // backend that reuses a built-in token (e.g. "sparse-blossom")
         // from comparing equal to the built-in itself.
         std::mem::discriminant(self) == std::mem::discriminant(other) && self.name() == other.name()
     }
@@ -228,9 +222,9 @@ impl<'a> BtwcBuilder<'a> {
         self
     }
 
-    /// Selects the off-chip decoder backend (default: the dense MWPM
-    /// baseline) — the one knob shared by every tier of the workspace;
-    /// see [`DecoderBackend`].
+    /// Selects the off-chip decoder backend (default: the exact
+    /// sparse-blossom matcher) — the one knob shared by every tier of
+    /// the workspace; see [`DecoderBackend`].
     #[must_use]
     pub fn backend(mut self, backend: DecoderBackend) -> Self {
         self.backend = backend;
@@ -448,10 +442,13 @@ mod tests {
     #[test]
     fn sparse_backend_resolves_complex_windows_like_dense() {
         let code = SurfaceCode::new(7);
-        let mut dense = BtwcDecoder::builder(&code, StabilizerType::X).build();
-        let mut sparse = BtwcDecoder::builder(&code, StabilizerType::X)
-            .backend(DecoderBackend::SparseBlossom)
-            .build();
+        let dense_backend = DecoderBackend::Custom {
+            name: "dense-mwpm",
+            build: |code, ty| Box::new(btwc_mwpm::MwpmDecoder::new(code, ty)),
+        };
+        let mut dense =
+            BtwcDecoder::builder(&code, StabilizerType::X).backend(dense_backend).build();
+        let mut sparse = BtwcDecoder::builder(&code, StabilizerType::X).build();
         let mut errors = vec![false; code.num_data_qubits()];
         errors[3 * 7 + 3] = true;
         errors[4 * 7 + 3] = true;
@@ -490,16 +487,21 @@ mod tests {
             code: &SurfaceCode,
             ty: StabilizerType,
         ) -> Box<dyn ComplexDecoder + Send + Sync> {
-            DecoderBackend::DenseMwpm.build(code, ty)
+            DecoderBackend::SparseBlossom.build(code, ty)
         }
         let custom = DecoderBackend::Custom { name: "mine", build: null_factory };
         assert_eq!(custom, DecoderBackend::Custom { name: "mine", build: null_factory });
         assert_ne!(custom, DecoderBackend::Custom { name: "other", build: null_factory });
         // A custom reusing a built-in token must not impersonate it.
-        let imposter = DecoderBackend::Custom { name: "dense-mwpm", build: null_factory };
-        assert_ne!(imposter, DecoderBackend::DenseMwpm);
+        let imposter = DecoderBackend::Custom { name: "sparse-blossom", build: null_factory };
+        assert_ne!(imposter, DecoderBackend::SparseBlossom);
         assert_eq!(DecoderBackend::SparseBlossom, DecoderBackend::SparseBlossom);
         assert_ne!(DecoderBackend::SparseBlossom, DecoderBackend::UnionFind);
+    }
+
+    #[test]
+    fn default_backend_is_sparse_blossom() {
+        assert_eq!(DecoderBackend::default(), DecoderBackend::SparseBlossom);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! syndrome round flows through the on-chip Clique frontend (sticky
 //! measurement filter + clique decision logic); trivial signatures are
 //! corrected on the spot, complex ones are shipped to a pluggable
-//! [`ComplexDecoder`] (by default the exact space-time MWPM decoder).
+//! [`ComplexDecoder`] (by default the exact space-time sparse-blossom
+//! MWPM decoder).
 //!
 //! [`BtwcMachine`] scales that to many logical qubits: one batched
 //! packed [`SyndromeBatch`] per cycle runs the sticky filter
@@ -53,7 +54,6 @@ pub use btwc_bandwidth::{FaultyLink, LinkFaultModel, LinkFaultStats};
 pub use btwc_clique::{BatchFrontend, CliqueDecision, CliqueDecoder, CliqueFrontend};
 pub use btwc_lattice::{StabilizerType, SurfaceCode};
 pub use btwc_lut::LutDecoder;
-pub use btwc_mwpm::MwpmDecoder;
 pub use btwc_sparse::SparseDecoder;
 pub use btwc_syndrome::{BatchHistory, Correction, RoundHistory, Syndrome, SyndromeBatch};
 pub use btwc_uf::UnionFindDecoder;

@@ -12,7 +12,7 @@
 //!   ([`btwc_clique::BatchFrontend`]), so the >90%-quiet common case
 //!   costs no per-qubit work.
 //! * **Unified backend selection** — one [`DecoderBackend`] picks the
-//!   shared room-temperature decoder (dense MWPM, sparse blossom,
+//!   shared room-temperature decoder (sparse blossom by default,
 //!   union-find, LUT, or a custom factory), the same selector every
 //!   other tier consumes.
 //! * **Transport integration** — every off-chip escalation is framed as
@@ -263,8 +263,8 @@ impl<'a> MachineBuilder<'a> {
         self
     }
 
-    /// Selects the shared off-chip decoder backend (default: dense
-    /// MWPM) — the unified [`DecoderBackend`] selector.
+    /// Selects the shared off-chip decoder backend (default: the exact
+    /// sparse-blossom matcher) — the unified [`DecoderBackend`] selector.
     #[must_use]
     pub fn backend(mut self, backend: DecoderBackend) -> Self {
         self.backend = backend;

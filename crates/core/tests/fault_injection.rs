@@ -114,11 +114,6 @@ fn pin_zero_fault(backend: DecoderBackend) {
 }
 
 #[test]
-fn zero_fault_link_is_bit_identical_dense_mwpm() {
-    pin_zero_fault(DecoderBackend::DenseMwpm);
-}
-
-#[test]
 fn zero_fault_link_is_bit_identical_sparse_blossom() {
     pin_zero_fault(DecoderBackend::SparseBlossom);
 }

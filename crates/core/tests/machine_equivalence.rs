@@ -136,36 +136,21 @@ fn pin_machine_against_reference(
 }
 
 #[test]
-fn dense_mwpm_matches_reference_loop() {
-    for (d, cycles) in [(3u16, 1500), (5, 900), (9, 400)] {
-        pin_machine_against_reference(
-            DecoderBackend::DenseMwpm,
-            StabilizerType::X,
-            d,
-            4,
-            1,
-            cycles,
-            6e-3,
-            0xD0 + u64::from(d),
-            true,
-        );
-    }
-}
-
-#[test]
 fn sparse_blossom_matches_reference_loop() {
     for (d, cycles) in [(3u16, 1500), (5, 900), (9, 400)] {
-        pin_machine_against_reference(
-            DecoderBackend::SparseBlossom,
-            StabilizerType::X,
-            d,
-            4,
-            1,
-            cycles,
-            6e-3,
-            0x5B + u64::from(d),
-            true,
-        );
+        for seed in [0x5B, 0xD0] {
+            pin_machine_against_reference(
+                DecoderBackend::SparseBlossom,
+                StabilizerType::X,
+                d,
+                4,
+                1,
+                cycles,
+                6e-3,
+                seed + u64::from(d),
+                true,
+            );
+        }
     }
     // The Z plane (detecting X errors) over its own ancilla layout.
     for (d, cycles) in [(3u16, 1500), (5, 900)] {
@@ -246,7 +231,7 @@ fn more_qubits_than_a_word_still_match() {
     // 70 qubits cross the 64-bit plane boundary — the word-parallel
     // filter must stay exact past the first word.
     pin_machine_against_reference(
-        DecoderBackend::DenseMwpm,
+        DecoderBackend::SparseBlossom,
         StabilizerType::X,
         3,
         70,

@@ -22,12 +22,8 @@ use btwc_syndrome::RoundHistory;
 use btwc_telemetry::MetricsRegistry;
 use proptest::prelude::*;
 
-const BACKENDS: [DecoderBackend; 4] = [
-    DecoderBackend::DenseMwpm,
-    DecoderBackend::SparseBlossom,
-    DecoderBackend::UnionFind,
-    DecoderBackend::Lut,
-];
+const BACKENDS: [DecoderBackend; 3] =
+    [DecoderBackend::SparseBlossom, DecoderBackend::UnionFind, DecoderBackend::Lut];
 
 const WINDOW_CAPACITY: usize = 8;
 

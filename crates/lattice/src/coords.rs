@@ -64,18 +64,6 @@ impl DataQubit {
     pub fn index(self, d: u16) -> usize {
         usize::from(self.row) * usize::from(d) + usize::from(self.col)
     }
-
-    /// Inverse of [`DataQubit::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= d * d`.
-    #[must_use]
-    pub fn from_index(index: usize, d: u16) -> Self {
-        let dd = usize::from(d);
-        assert!(index < dd * dd, "data qubit index {index} out of range for d={d}");
-        Self { row: (index / dd) as u16, col: (index % dd) as u16 }
-    }
 }
 
 impl fmt::Display for DataQubit {
@@ -137,23 +125,6 @@ impl Plaquette {
         }
         out
     }
-
-    /// The four diagonal plaquette positions, which are the only
-    /// candidates for *same-type* neighbors (the checkerboard coloring is
-    /// preserved under diagonal moves). Off-grid positions are filtered.
-    #[must_use]
-    pub fn diagonal_neighbors(self, d: u16) -> Vec<Plaquette> {
-        let mut out = Vec::with_capacity(4);
-        let deltas: [(i32, i32); 4] = [(-1, -1), (-1, 1), (1, -1), (1, 1)];
-        for (dr, dc) in deltas {
-            let r = i32::from(self.r) + dr;
-            let c = i32::from(self.c) + dc;
-            if r >= 0 && c >= 0 && r <= i32::from(d) && c <= i32::from(d) {
-                out.push(Plaquette::new(r as u16, c as u16));
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Plaquette {
@@ -178,16 +149,11 @@ mod tests {
         let d = 7;
         for row in 0..d {
             for col in 0..d {
-                let q = DataQubit::new(row, col);
-                assert_eq!(DataQubit::from_index(q.index(d), d), q);
+                let i = DataQubit::new(row, col).index(d);
+                let dd = usize::from(d);
+                assert_eq!((i / dd, i % dd), (usize::from(row), usize::from(col)));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn data_qubit_from_index_panics_out_of_range() {
-        let _ = DataQubit::from_index(9, 3);
     }
 
     #[test]
@@ -223,16 +189,9 @@ mod tests {
     #[test]
     fn diagonal_neighbors_preserve_type() {
         let p = Plaquette::new(2, 2);
-        for q in p.diagonal_neighbors(5) {
-            assert_eq!(q.stabilizer_type(), p.stabilizer_type());
+        for (r, c) in [(1, 1), (1, 3), (3, 1), (3, 3)] {
+            assert_eq!(Plaquette::new(r, c).stabilizer_type(), p.stabilizer_type());
         }
-    }
-
-    #[test]
-    fn diagonal_neighbors_clip_at_grid_edge() {
-        assert_eq!(Plaquette::new(0, 0).diagonal_neighbors(3).len(), 1);
-        assert_eq!(Plaquette::new(0, 2).diagonal_neighbors(3).len(), 2);
-        assert_eq!(Plaquette::new(2, 2).diagonal_neighbors(3).len(), 4);
     }
 
     #[test]

@@ -5,88 +5,38 @@ use std::fmt;
 use crate::code::SurfaceCode;
 use crate::coords::{Plaquette, StabilizerType};
 
-/// A lazily rendered ASCII picture of a [`SurfaceCode`], optionally with
-/// an error/syndrome overlay.
+/// A lazily rendered ASCII picture of a [`SurfaceCode`].
 ///
 /// Produced by [`SurfaceCode::render`]. The grid shows data qubits as
-/// `D` (or `E` when erring) and ancillas as `x`/`z` (uppercase when their
-/// syndrome bit is set).
+/// `D`, ancillas as `x`/`z`, and stabilizer-free corner plaquettes as
+/// `.`.
 #[derive(Debug, Clone)]
 pub struct Render<'a> {
     code: &'a SurfaceCode,
-    errors: Option<&'a [bool]>,
-    x_syndrome: Option<&'a [bool]>,
-    z_syndrome: Option<&'a [bool]>,
 }
 
 impl SurfaceCode {
     /// Renders the bare lattice.
     #[must_use]
     pub fn render(&self) -> Render<'_> {
-        Render { code: self, errors: None, x_syndrome: None, z_syndrome: None }
-    }
-
-    /// Renders the lattice with a data-error overlay and the X-type
-    /// syndrome it produces.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in the `Display` impl) if the overlay lengths do not match
-    /// the code.
-    #[must_use]
-    pub fn render_with<'a>(&'a self, errors: &'a [bool], x_syndrome: &'a [bool]) -> Render<'a> {
-        Render { code: self, errors: Some(errors), x_syndrome: Some(x_syndrome), z_syndrome: None }
-    }
-
-    /// Renders the lattice with error overlay and both syndrome types
-    /// (lit ancillas shown uppercase).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in the `Display` impl) if the overlay lengths do not match
-    /// the code.
-    #[must_use]
-    pub fn render_full<'a>(
-        &'a self,
-        errors: &'a [bool],
-        x_syndrome: &'a [bool],
-        z_syndrome: &'a [bool],
-    ) -> Render<'a> {
-        Render {
-            code: self,
-            errors: Some(errors),
-            x_syndrome: Some(x_syndrome),
-            z_syndrome: Some(z_syndrome),
-        }
+        Render { code: self }
     }
 }
 
 impl fmt::Display for Render<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let d = self.code.distance();
-        if let Some(e) = self.errors {
-            assert_eq!(e.len(), self.code.num_data_qubits());
-        }
         // Interleave plaquette rows (r) and data rows.
         for r in 0..=d {
             // Plaquette row r.
             let mut line = String::new();
             for c in 0..=d {
-                let p = Plaquette::new(r, c);
-                let ch = self.plaquette_char(p);
-                line.push(ch);
+                line.push(self.plaquette_char(Plaquette::new(r, c)));
                 line.push(' ');
             }
             writeln!(f, "{}", line.trim_end())?;
             if r < d {
-                let mut line = String::from(" ");
-                for col in 0..d {
-                    let q = usize::from(r) * usize::from(d) + usize::from(col);
-                    let erring = self.errors.map(|e| e[q]).unwrap_or(false);
-                    line.push(if erring { 'E' } else { 'D' });
-                    line.push(' ');
-                }
-                writeln!(f, "{}", line.trim_end())?;
+                writeln!(f, " {}", vec!["D"; usize::from(d)].join(" "))?;
             }
         }
         Ok(())
@@ -95,17 +45,14 @@ impl fmt::Display for Render<'_> {
 
 impl Render<'_> {
     fn plaquette_char(&self, p: Plaquette) -> char {
-        let code = self.code;
-        let find = |ty: StabilizerType| code.ancillas(ty).iter().position(|a| a.plaquette() == p);
-        if let Some(i) = find(StabilizerType::X) {
-            let lit = self.x_syndrome.map(|s| s[i]).unwrap_or(false);
-            return if lit { 'X' } else { 'x' };
+        let hosts = |ty: StabilizerType| self.code.ancillas(ty).iter().any(|a| a.plaquette() == p);
+        if hosts(StabilizerType::X) {
+            'x'
+        } else if hosts(StabilizerType::Z) {
+            'z'
+        } else {
+            '.'
         }
-        if let Some(i) = find(StabilizerType::Z) {
-            let lit = self.z_syndrome.map(|s| s[i]).unwrap_or(false);
-            return if lit { 'Z' } else { 'z' };
-        }
-        '.'
     }
 }
 
@@ -122,32 +69,6 @@ mod tests {
         assert!(text.contains('D'));
         assert!(text.contains('x'));
         assert!(text.contains('z'));
-    }
-
-    #[test]
-    fn overlay_marks_errors_and_lit_syndromes() {
-        let code = SurfaceCode::new(3);
-        let mut errors = vec![false; 9];
-        errors[4] = true; // center qubit
-        let syndrome = code.syndrome_of(StabilizerType::X, &errors);
-        let text = code.render_with(&errors, &syndrome).to_string();
-        assert!(text.contains('E'));
-        assert!(text.contains('X'), "lit ancilla should be uppercase");
-    }
-
-    #[test]
-    fn full_overlay_marks_both_types() {
-        let code = SurfaceCode::new(3);
-        let mut errors = vec![false; 9];
-        errors[4] = true;
-        let sx = code.syndrome_of(StabilizerType::X, &errors);
-        let sz = code.syndrome_of(StabilizerType::Z, &errors);
-        // A single error of one species lights X ancillas for Z errors;
-        // for the Z-syndrome overlay we reuse the same pattern as a
-        // rendering smoke test.
-        let text = code.render_full(&errors, &sx, &sz).to_string();
-        assert!(text.contains('E'));
-        assert!(text.contains('X') || text.contains('Z'));
     }
 
     #[test]

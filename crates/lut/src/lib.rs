@@ -97,13 +97,6 @@ impl LutDecoder {
         self.table.len()
     }
 
-    /// Total stored correction qubits — a proxy for the table's memory
-    /// footprint, the LILLIPUT scalability limit.
-    #[must_use]
-    pub fn table_weight(&self) -> usize {
-        self.table.iter().map(Correction::weight).sum()
-    }
-
     /// O(1) decode of one syndrome round.
     ///
     /// # Panics
@@ -144,7 +137,6 @@ mod tests {
         let lut = LutDecoder::build(&code, StabilizerType::X);
         assert_eq!(lut.syndrome_bits(), 4);
         assert_eq!(lut.table_entries(), 16);
-        assert!(lut.table_weight() > 0);
     }
 
     #[test]

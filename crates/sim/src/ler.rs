@@ -10,7 +10,7 @@ use serde::Serialize;
 
 use crate::tracker::ErrorTracker;
 
-/// Shots per deterministic work shard (each shot is `rounds` decode
+/// Shots per deterministic work shard (each shot is `d` decode
 /// cycles, so shards are comparable in weight to the lifetime engine's
 /// [`crate::lifetime::SHARD_CYCLES`]-cycle shards).
 pub(crate) const SHARD_SHOTS: u64 = 256;
@@ -50,8 +50,6 @@ pub struct ShotConfig {
     pub distance: u16,
     /// Physical error rate (data and measurement).
     pub physical_error_rate: f64,
-    /// Noisy measurement rounds per shot (the paper's convention: `d`).
-    pub rounds: usize,
     /// Number of shots.
     pub shots: u64,
     /// Clique sticky-filter depth (used by `CliquePlusMwpm` only).
@@ -64,7 +62,8 @@ pub struct ShotConfig {
 }
 
 impl ShotConfig {
-    /// Defaults: `d` rounds per shot, 10k shots, 2 filter rounds.
+    /// A shot is `d` noisy rounds (the paper's convention). Defaults:
+    /// 10k shots, 2 filter rounds, the default [`DecoderBackend`].
     ///
     /// # Panics
     ///
@@ -78,7 +77,6 @@ impl ShotConfig {
         Self {
             distance,
             physical_error_rate,
-            rounds: usize::from(distance),
             shots: 10_000,
             clique_rounds: 2,
             backend: DecoderBackend::default(),
@@ -90,13 +88,6 @@ impl ShotConfig {
     #[must_use]
     pub fn with_shots(mut self, shots: u64) -> Self {
         self.shots = shots;
-        self
-    }
-
-    /// Sets the rounds per shot.
-    #[must_use]
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds;
         self
     }
 
@@ -141,7 +132,7 @@ pub struct LerEstimate {
 }
 
 impl LerEstimate {
-    /// Logical error rate per shot (per `rounds` cycles).
+    /// Logical error rate per shot (per `d` cycles).
     #[must_use]
     pub fn rate(&self) -> f64 {
         if self.shots == 0 {
@@ -160,8 +151,8 @@ impl LerEstimate {
 
 /// Measures the logical error rate of `kind` under `cfg`.
 ///
-/// Shot protocol (standard for the phenomenological model): `rounds`
-/// noisy syndrome-measurement rounds followed by one perfect readout
+/// Shot protocol (standard for the phenomenological model): `d` noisy
+/// syndrome-measurement rounds followed by one perfect readout
 /// round; decode; a shot fails if the residual error anti-commutes with
 /// the logical operator.
 #[must_use]
@@ -174,7 +165,8 @@ pub fn logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstimate {
     let n_anc = code.num_ancillas(ty);
     let n_data = code.num_data_qubits();
     let mut rng = SimRng::from_seed(cfg.seed);
-    let mut window = RoundHistory::new(n_anc, cfg.rounds + 1);
+    let rounds = usize::from(cfg.distance);
+    let mut window = RoundHistory::new(n_anc, rounds + 1);
     let mut est = LerEstimate { shots: 0, failures: 0, offchip_shots: 0 };
     let p = cfg.physical_error_rate;
     // Reused packed round buffer: the shot loop performs no per-round
@@ -188,7 +180,7 @@ pub fn logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstimate {
         frontend.reset();
         window.reset();
         let mut went_offchip = false;
-        for _ in 0..cfg.rounds {
+        for _ in 0..rounds {
             for q in SparseFlips::new(&mut rng, n_data, p) {
                 tracker.flip(q);
             }
@@ -325,11 +317,8 @@ mod tests {
         // noise).
         let p = 8e-3;
         let cfg = ShotConfig::new(5, p).with_shots(4000).with_seed(23);
-        let dense = logical_error_rate(&cfg, DecoderKind::MwpmOnly);
-        let sparse = logical_error_rate(
-            &cfg.with_backend(DecoderBackend::SparseBlossom),
-            DecoderKind::MwpmOnly,
-        );
+        let dense = logical_error_rate(&cfg.with_backend(crate::DENSE_MWPM), DecoderKind::MwpmOnly);
+        let sparse = logical_error_rate(&cfg, DecoderKind::MwpmOnly);
         assert_eq!(dense.shots, sparse.shots);
         assert!(dense.failures > 0, "need a measurable baseline");
         let ratio = sparse.rate() / dense.rate().max(1e-9);

@@ -37,9 +37,9 @@
 //! its grid position ([`grid_point_seed`]), decorrelating points while
 //! keeping every one individually reproducible. Both engines pick
 //! their off-chip decoder through the unified [`DecoderBackend`]
-//! registry (`with_backend` on either config): dense MWPM, the
-//! weight-equal sparse-blossom decoder, union-find, the lookup table,
-//! or a custom factory — each used through its lock-free `&mut`
+//! registry (`with_backend` on either config): the exact sparse-blossom
+//! matcher (the default), union-find, the lookup table, or a custom
+//! factory — each used through its lock-free `&mut`
 //! decode path, one decoder per worker, no synchronization per
 //! complex decode.
 //!
@@ -81,3 +81,11 @@ pub use sweep::{
     CoveragePoint, SignatureDistribution,
 };
 pub use tracker::ErrorTracker;
+
+/// The dense O(n³) matcher as a custom backend: the weight-equal
+/// reference the unit tests hold the default sparse matcher against.
+#[cfg(test)]
+pub(crate) const DENSE_MWPM: DecoderBackend = DecoderBackend::Custom {
+    name: "dense-mwpm",
+    build: |code, ty| Box::new(btwc_mwpm::MwpmDecoder::new(code, ty)),
+};

@@ -448,8 +448,8 @@ mod tests {
         // classification — the Clique frontend is untouched) and keep
         // the residual error just as bounded.
         let base = LifetimeConfig::new(7, 4e-3).with_cycles(30_000).with_seed(17);
-        let dense = LifetimeSim::new(&base).run();
-        let sparse = LifetimeSim::new(&base.with_backend(DecoderBackend::SparseBlossom)).run();
+        let dense = LifetimeSim::new(&base.with_backend(crate::DENSE_MWPM)).run();
+        let sparse = LifetimeSim::new(&base).run();
         assert_eq!(dense.cycles, sparse.cycles);
         assert!(sparse.complex > 0, "complex decodes must occur");
         // Classification happens before the off-chip decode, and both

@@ -44,12 +44,7 @@ fn assert_tenant_matches_inline(tenant: &FarmTenantRun, spec: &MachineSpec, labe
 /// to its inline run, at every worker count.
 #[test]
 fn farm_outcomes_match_inline_loop_for_every_backend_and_worker_count() {
-    let backends = [
-        DecoderBackend::DenseMwpm,
-        DecoderBackend::SparseBlossom,
-        DecoderBackend::UnionFind,
-        DecoderBackend::Lut,
-    ];
+    let backends = [DecoderBackend::SparseBlossom, DecoderBackend::UnionFind, DecoderBackend::Lut];
     // d = 5 keeps the Lut backend in range while the rate forces
     // steady escalation traffic (hundreds of farm decodes per tenant).
     let cfgs: Vec<LifetimeConfig> = backends

@@ -7,13 +7,12 @@
 //! flips), every round pushed into the window unconditionally, and the
 //! bool-slice frontend/window entry points. The packed implementation
 //! may skip leading all-zero window rounds and run word ops, but the
-//! sampled noise (RNG draw order), every Clique decision, every MWPM
-//! correction, and therefore every counter in [`LerEstimate`] must come
-//! out the same.
+//! sampled noise (RNG draw order), every Clique decision, every
+//! off-chip correction (`cfg.backend`'s), and therefore every counter
+//! in [`LerEstimate`] must come out the same.
 
 use btwc_clique::{CliqueDecision, CliqueFrontend};
 use btwc_lattice::{StabilizerType, SurfaceCode};
-use btwc_mwpm::MwpmDecoder;
 use btwc_noise::{SimRng, SparseFlips};
 use btwc_sim::{logical_error_rate, DecoderKind, ErrorTracker, LerEstimate, ShotConfig};
 use btwc_syndrome::RoundHistory;
@@ -23,13 +22,14 @@ use btwc_syndrome::RoundHistory;
 fn reference_logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstimate {
     let ty = StabilizerType::X;
     let code = SurfaceCode::new(cfg.distance);
-    let mut mwpm = MwpmDecoder::new(&code, ty);
+    let mut offchip = cfg.backend.build(&code, ty);
     let mut tracker = ErrorTracker::new(&code, ty);
     let mut frontend = CliqueFrontend::with_rounds(&code, ty, cfg.clique_rounds);
     let n_anc = code.num_ancillas(ty);
     let n_data = code.num_data_qubits();
     let mut rng = SimRng::from_seed(cfg.seed);
-    let mut window = RoundHistory::new(n_anc, cfg.rounds + 1);
+    let rounds = usize::from(cfg.distance);
+    let mut window = RoundHistory::new(n_anc, rounds + 1);
     let mut est = LerEstimate { shots: 0, failures: 0, offchip_shots: 0 };
     let p = cfg.physical_error_rate;
 
@@ -38,7 +38,7 @@ fn reference_logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstim
         frontend.reset();
         window.reset();
         let mut went_offchip = false;
-        for _ in 0..cfg.rounds {
+        for _ in 0..rounds {
             let flips: Vec<usize> = SparseFlips::new(&mut rng, n_data, p).collect();
             for q in flips {
                 tracker.flip(q);
@@ -58,7 +58,7 @@ fn reference_logical_error_rate(cfg: &ShotConfig, kind: DecoderKind) -> LerEstim
             }
         }
         window.push(&tracker.syndrome().to_bools());
-        let cleanup = mwpm.decode_window_mut(&window);
+        let cleanup = offchip.decode_window_mut(&window);
         tracker.apply(cleanup.qubits());
         assert!(tracker.is_quiet(), "reference decode must clear the syndrome");
         est.shots += 1;

@@ -2,9 +2,9 @@
 //! all-pairs event matrix.
 //!
 //! The BTWC hierarchy keeps Clique on-chip and ships only rare complex
-//! windows to the off-chip matcher. The workspace's dense baseline
-//! (`btwc_mwpm::MwpmDecoder`) solves those windows with an O(n³)
-//! blossom over *every* event pair; this crate replaces that with the
+//! windows to the off-chip matcher. The dense blossom
+//! (`btwc_mwpm::MwpmDecoder`, now only the test oracle) solves them
+//! with an O(n³) matching over *every* event pair; this crate uses the
 //! sparse-blossom structure (à la PyMatching v2): work directly on the
 //! space-time detector graph, give each detection event a region whose
 //! radius is its boundary-exit bid (the boundary is always there as an
@@ -52,8 +52,8 @@
 //! [`SparseDecoder`] mirrors the dense decoder's API (`decode_window_mut`,
 //! `decode_events_mut` and weight-reporting `_weighted` variants, all
 //! through `&mut self`, so the scratch is a plain field with no lock)
-//! and plugs into the hierarchy as a `ComplexDecoder` backend via
-//! `btwc_core::DecoderBackend::SparseBlossom`.
+//! and plugs into the hierarchy as the default `ComplexDecoder`
+//! backend, `btwc_core::DecoderBackend::SparseBlossom`.
 //!
 //! # Example
 //!

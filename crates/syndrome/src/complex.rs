@@ -12,8 +12,8 @@ use crate::history::RoundHistory;
 
 /// An off-chip decoder that resolves a window of measurement rounds.
 ///
-/// Implemented by `btwc_mwpm::MwpmDecoder` (the dense default),
-/// `btwc_sparse::SparseDecoder` (the sparse-blossom backend),
+/// Implemented by `btwc_sparse::SparseDecoder` (the sparse-blossom
+/// default), `btwc_mwpm::MwpmDecoder` (the dense test oracle),
 /// `btwc_uf::UnionFindDecoder`, and `btwc_lut::LutDecoder`; custom
 /// implementations let experiments swap in other heavyweight decoders
 /// (neural, belief propagation, …) behind the same BTWC front end.

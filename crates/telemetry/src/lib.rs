@@ -25,7 +25,7 @@
 //!
 //! A [`SpanTimer`] bundles a cycle-domain latency histogram with an optional
 //! wall-time histogram. Cycle latencies are recorded explicitly via
-//! [`SpanTimer::record_span`]; wall time is captured by the RAII
+//! [`SpanTimer::record_latency`]; wall time is captured by the RAII
 //! [`WallGuard`], which compiles to a no-op without the `wall-time` feature.
 //!
 //! # Snapshots

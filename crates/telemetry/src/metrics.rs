@@ -177,7 +177,8 @@ impl Histogram {
     }
 
     /// Upper bound of the bucket containing the `pct`-th percentile sample
-    /// (rank `ceil(count * pct / 100)`), or 0 for an empty histogram.
+    /// (rank `ceil(count * pct / 100)`), clamped to [`Histogram::max`],
+    /// or 0 for an empty histogram.
     ///
     /// Integer-only, so the result is identical however the samples were
     /// interleaved across threads.
@@ -193,8 +194,10 @@ impl Histogram {
 /// The rank walk behind every reported percentile: the upper bound of
 /// the bucket holding sample rank `ceil(count * pct / 100)` among
 /// `buckets`' ascending `(upper, n)` pairs (dense or sparse — empty
-/// buckets never hold the rank), `max` if they hold fewer than `count`
-/// samples, or 0 for an empty histogram.
+/// buckets never hold the rank), clamped to the observed `max` (no
+/// sample exceeds it, so the bound stays a bound and never reads above
+/// the largest value seen); `max` if the buckets hold fewer than
+/// `count` samples, or 0 for an empty histogram.
 pub(crate) fn bucket_percentile(
     buckets: impl IntoIterator<Item = (u64, u64)>,
     count: u64,
@@ -209,7 +212,7 @@ pub(crate) fn bucket_percentile(
     for (upper, n) in buckets {
         seen += n;
         if seen >= rank {
-            return upper;
+            return upper.min(max);
         }
     }
     max
@@ -268,13 +271,6 @@ pub struct SpanTimer {
 }
 
 impl SpanTimer {
-    /// Record a span in machine cycles from `start_cycle` to `end_cycle`
-    /// inclusive bounds chosen by the caller; saturates if reversed.
-    #[inline]
-    pub fn record_span(&self, start_cycle: u64, end_cycle: u64) {
-        self.cycles.record(end_cycle.saturating_sub(start_cycle));
-    }
-
     /// Record an already-computed latency in cycles.
     #[inline]
     pub fn record_latency(&self, cycles: u64) {
@@ -354,8 +350,9 @@ mod tests {
         assert_eq!(h.max(), 100);
         // rank(p50) = 3 -> third sample (2 or 3) -> bucket [2,3] -> 3
         assert_eq!(h.percentile(50), 3);
-        // rank(p99) = 6 -> 100 -> bucket [64,127] -> 127
-        assert_eq!(h.percentile(99), 127);
+        // rank(p99) = 6 -> 100 -> bucket [64,127] -> 127, clamped to
+        // the observed max
+        assert_eq!(h.percentile(99), 100);
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn machine_executes_the_whole_loop_and_reports_fig16_style_stalling() {
     // must not — the Fig. 16 trade-off reproduced from raw syndromes
     // (not from an arrival model) with every escalation crossing the
     // wire as a real frame.
-    let tight = drive_machine(1, DecoderBackend::DenseMwpm, 3_000);
+    let tight = drive_machine(1, DecoderBackend::SparseBlossom, 3_000);
     let ts = tight.stats();
     assert!(ts.offchip_requests > 0, "noisy machine must escalate");
     assert!(ts.frame_bytes >= 16 * ts.offchip_requests, "every escalation ships a frame");
@@ -117,7 +117,7 @@ fn machine_executes_the_whole_loop_and_reports_fig16_style_stalling() {
     assert!(ts.peak_backlog > 0);
     assert!(ts.execution_time_increase() > 0.0);
 
-    let wide = drive_machine(24, DecoderBackend::DenseMwpm, 3_000);
+    let wide = drive_machine(24, DecoderBackend::SparseBlossom, 3_000);
     let ws = wide.stats();
     assert_eq!(ws.stalls, 0, "a machine-wide link never overflows");
     assert!(ws.execution_time_increase().abs() < 1e-12);
@@ -134,12 +134,7 @@ fn machine_executes_the_whole_loop_and_reports_fig16_style_stalling() {
 
 #[test]
 fn machine_transport_loop_works_for_every_builtin_backend() {
-    for backend in [
-        DecoderBackend::DenseMwpm,
-        DecoderBackend::SparseBlossom,
-        DecoderBackend::UnionFind,
-        DecoderBackend::Lut,
-    ] {
+    for backend in [DecoderBackend::SparseBlossom, DecoderBackend::UnionFind, DecoderBackend::Lut] {
         let machine = drive_machine(4, backend, 600);
         let stats = machine.stats();
         assert!(
