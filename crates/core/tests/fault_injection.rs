@@ -19,8 +19,8 @@
 //! `fault_sweep_is_deterministic_and_meters_degradation` pins that.
 
 use btwc_core::{
-    BtwcMachine, BtwcOutcome, DecoderBackend, DecoderStats, LinkFaultModel, MachineCycle,
-    MachineStats, StabilizerType, SurfaceCode, SyndromeBatch, TransportStats,
+    BtwcMachine, BtwcOutcome, ComplexDecoder, DecoderBackend, DecoderStats, LinkFaultModel,
+    MachineCycle, MachineStats, StabilizerType, SurfaceCode, SyndromeBatch, TransportStats,
 };
 use btwc_noise::{PhenomenologicalNoise, SimRng};
 use btwc_telemetry::{Domain, MetricValue, MetricsRegistry};
@@ -111,6 +111,20 @@ fn pin_zero_fault(backend: DecoderBackend) {
             }
         }
     }
+}
+
+/// The dense O(n³) blossom, no longer a built-in backend, wired in
+/// through the `Custom` factory so the pin still covers it.
+fn dense_mwpm_factory(
+    code: &SurfaceCode,
+    ty: StabilizerType,
+) -> Box<dyn ComplexDecoder + Send + Sync> {
+    Box::new(btwc_mwpm::MwpmDecoder::new(code, ty))
+}
+
+#[test]
+fn zero_fault_link_is_bit_identical_dense_mwpm() {
+    pin_zero_fault(DecoderBackend::Custom { name: "dense-mwpm", build: dense_mwpm_factory });
 }
 
 #[test]
