@@ -13,7 +13,14 @@
 //! runs are the figure bins' own configurations at the goldens' scale
 //! (`BTWC_SCALE=0.02`), so every figure line that moved when the default
 //! became the sparse matcher is shown to be a tie-break, not a weight
-//! change. Release-only: the dense solves are O(n³).
+//! change.
+//!
+//! Which tie wins still matters: Clique's corrections make ties
+//! between pairing two events and two boundary exits common in the
+//! windows it ships, and the sparse matcher pairs them. The last test
+//! pins that this keeps the Clique+MWPM failure count at or below the
+//! dense matcher's own on Fig. 14's high-rate points at full scale.
+//! Release-only: the dense solves are O(n³).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,6 +79,10 @@ const LIFETIME_CHECKED: DecoderBackend = DecoderBackend::Custom {
     name: "weight-checked",
     build: |code, ty| WeightChecked::boxed(code, ty, &LIFETIME_WINDOWS),
 };
+const DENSE: DecoderBackend = DecoderBackend::Custom {
+    name: "dense-mwpm",
+    build: |code, ty| Box::new(MwpmDecoder::new(code, ty)),
+};
 
 /// The shot configurations behind the changed golden lines: `fig14`'s
 /// (d, p) grid (600 shots, both pipelines) and `ablate_rounds`' LER
@@ -114,4 +125,21 @@ fn closed_loop_escalation_windows_tie_on_weight() {
     assert_eq!(checked, plain);
     assert!(checked.complex > 100, "the run must escalate");
     assert_eq!(LIFETIME_WINDOWS.load(Ordering::Relaxed), checked.complex);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: run with --release")]
+fn paired_ties_keep_clique_failures_at_or_below_the_dense_matchers() {
+    // Fig. 14's p = 1.2e-2 column at d = 3, 5, 7 and its full-scale shot
+    // count. Sending zero-gain pairs to the boundary instead gave 1 547
+    // failures here against the dense matcher's 1 315.
+    let (mut sparse, mut dense) = (0, 0);
+    for d in [3u16, 5, 7] {
+        let cfg = ShotConfig::new(d, 1.2e-2).with_shots(30_000).with_seed(0xF1614);
+        let kind = DecoderKind::CliquePlusMwpm;
+        sparse += logical_error_rate_parallel(&cfg, kind, 2).failures;
+        dense += logical_error_rate_parallel(&cfg.with_backend(DENSE), kind, 2).failures;
+    }
+    assert!(dense > 1_000, "the points must fail often enough to compare");
+    assert!(sparse <= dense, "sparse {sparse} failures against dense {dense}");
 }

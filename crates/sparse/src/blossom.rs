@@ -6,11 +6,13 @@
 //! vertex per detection event and one edge per region collision
 //! (`crate::regions`), weighted by what pairing the two events saves
 //! over sending both out through the boundary,
-//! `g = bd(u) + bd(v) − d(u, v)` (strictly positive — that is the
-//! collision inequality). A maximum-weight, *not necessarily perfect*,
-//! matching of that graph is the minimum-weight decode of the cluster:
-//! matched events pair up, every unmatched event exits through the
-//! boundary, and the cluster's weight is `Σ bd − Σ matched g`. There
+//! `g = bd(u) + bd(v) − d(u, v)` (non-negative — that is the collision
+//! inequality), scaled to `g·k + 1` on a k-event cluster so that ties
+//! go to the matching with more pairs. A maximum-weight, *not
+//! necessarily perfect*, matching of that graph is the minimum-weight
+//! decode of the cluster: matched events pair up, every unmatched event
+//! exits through the boundary, and the cluster's weight is
+//! `Σ bd − Σ matched g`. There
 //! are no boundary-twin vertices and no mirrored zero-weight edges: a
 //! cluster of k events is a k-vertex problem.
 //!

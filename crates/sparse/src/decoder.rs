@@ -20,7 +20,7 @@ use crate::scratch::{ClusterScratch, SparseScratch};
 ///    region of the space-time graph whose radius is capped at its own
 ///    boundary distance (the boundary is always there as an exit at
 ///    that price). Colliding regions merge into clusters; any matching
-///    edge that could ever beat two boundary exits is provably
+///    edge that could ever beat or tie two boundary exits is provably
 ///    intra-cluster. Collisions are detected in round order with the
 ///    lattice's O(1) precomputed distances, so discovery is
 ///    output-sensitive instead of all-pairs-matrix-shaped.
@@ -30,8 +30,8 @@ use crate::scratch::{ClusterScratch, SparseScratch};
 ///    blossom ([`crate::blossom`]) on the cluster's *gain graph*: one
 ///    vertex per event, one edge per collision weighted by what the
 ///    pairing saves over two boundary exits. A maximum-weight matching
-///    of it pairs the events worth pairing and leaves the rest to exit
-///    — alternating trees with blossom shrinking directly on the sparse
+///    of it pairs the events worth pairing (a tie pairs) and leaves the
+///    rest to exit — alternating trees with blossom shrinking directly on the sparse
 ///    graph, never a dense all-pairs table and never a boundary-twin
 ///    vertex.
 ///
@@ -282,7 +282,8 @@ fn solve_cluster(
             graph.extend_path_to_boundary(ancilla(0), flips);
             i64::from(graph.boundary_distance(ancilla(0)))
         }
-        // A pair: the direct edge against two boundary exits.
+        // A pair: the direct edge against two boundary exits (a tie
+        // pairs, see below).
         2 => {
             let (u, v) = (&events[members[0] as usize], &events[members[1] as usize]);
             let direct =
@@ -301,9 +302,14 @@ fn solve_cluster(
         // A bigger knot: the in-solver sparse blossom on the cluster's
         // gain graph. Start from every event exiting through the
         // boundary (`Σ bd`); pairing `u` with `v` instead saves
-        // `bd(u) + bd(v) − d(u, v)`, which is positive exactly on the
-        // collision edges, so the cheapest decode is a maximum-weight
-        // matching over them and whoever it leaves unmatched exits.
+        // `g = bd(u) + bd(v) − d(u, v)`, which is non-negative exactly
+        // on the collision edges, so the cheapest decode is a
+        // maximum-gain matching over them and whoever it leaves
+        // unmatched exits. Among the cheapest decodes, the one with the
+        // most pairs wins (why: `crate::regions`, "Ties pair"): each
+        // edge weighs `g·k + 1`, so a matching weighs `k·Σg + pairs`
+        // with `pairs < k`, and its maximum has the largest gain first
+        // and the most pairs second.
         k => {
             let ClusterScratch { local_id, cluster_edges, pairs, matched, arena } = scratch;
             if local_id.len() < events.len() {
@@ -314,11 +320,14 @@ fn solve_cluster(
             }
             let bd = |local: usize| i64::from(graph.boundary_distance(ancilla(local)));
             cluster_edges.clear();
+            let tie_scale = k as i64;
             cluster_edges.extend(collisions.iter().map(|e| {
                 let (lu, lv) = (local_id[e.u as usize], local_id[e.v as usize]);
-                ClusterEdge::new(lu, lv, bd(lu as usize) + bd(lv as usize) - e.weight)
+                let gain = bd(lu as usize) + bd(lv as usize) - e.weight;
+                ClusterEdge::new(lu, lv, gain * tie_scale + 1)
             }));
-            let gain = arena.solve(k, cluster_edges, pairs);
+            let scaled = arena.solve(k, cluster_edges, pairs);
+            let gain = (scaled - pairs.len() as i64) / tie_scale;
             if let Some(tel) = telemetry {
                 let st = arena.stats();
                 tel.blossom_solves.inc();

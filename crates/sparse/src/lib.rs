@@ -15,13 +15,16 @@
 //! in-crate sparse blossom solver ([`blossom`]) on each cluster's
 //! **gain graph**: the cluster's k events are the vertices, its
 //! collisions the edges, and an edge weighs what pairing its two events
-//! saves over two boundary exits, `bd(u) + bd(v) − d(u, v)` — positive
-//! exactly when the regions collide. A maximum-weight matching of that
-//! graph, in which any vertex may stay unmatched, is the minimum-weight
-//! decode: unmatched events exit through the boundary and the cluster
-//! weighs `Σ bd − Σ matched gain`. Alternating trees, dual adjustments
-//! (dynamic region radii) and blossom shrinking run directly on the
-//! discovered collision edges, so a cluster of any size — even a
+//! saves over two boundary exits, `bd(u) + bd(v) − d(u, v)` —
+//! non-negative exactly when the regions collide. A maximum-weight
+//! matching of that graph, in which any vertex may stay unmatched, is
+//! the minimum-weight decode: unmatched events exit through the
+//! boundary and the cluster weighs `Σ bd − Σ matched gain`. Where
+//! pairing and exiting weigh the same, the decoder pairs: the Clique
+//! tier's corrections make such ties common, and pairing them is the
+//! better guess (see `regions`, "Ties pair"). Alternating trees, dual
+//! adjustments (dynamic region radii) and blossom shrinking run
+//! directly on the discovered collision edges, so a cluster of any size — even a
 //! chained cluster spanning most of a window — is matched without a
 //! dense all-pairs table and without boundary-twin vertices. The solver
 //! is exact from any dual-feasible start (an event whose dual runs out

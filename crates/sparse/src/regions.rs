@@ -10,31 +10,41 @@
 //! bids more than it for a partner. Two regions collide iff
 //!
 //! ```text
-//! d(u, v) = distance(aᵤ, aᵥ) + |tᵤ − tᵥ|  <  bd(u) + bd(v)
+//! d(u, v) = distance(aᵤ, aᵥ) + |tᵤ − tᵥ|  ≤  bd(u) + bd(v)
 //! ```
 //!
-//! and any matching edge a minimum-weight perfect matching can strictly
-//! prefer over a pair of boundary exits satisfies exactly that
-//! inequality. Merging colliding regions with a union-find therefore
-//! yields clusters with the decomposition property the decoder builds
-//! on:
+//! that is, iff pairing the two costs no more than two boundary exits.
+//! Merging colliding regions with a union-find therefore yields
+//! clusters with the decomposition property the decoder builds on:
 //!
-//! > an optimal matching exists that never pairs events across
-//! > clusters — every cross-cluster pair is (weakly) beaten by two
-//! > boundary exits.
+//! > no minimum-weight matching pairs events across clusters — every
+//! > cross-cluster pair is strictly beaten by two boundary exits.
+//!
+//! **Ties pair.** Including the equality case lets the decoder pair
+//! wherever pairing and two exits weigh the same (the per-cluster solve
+//! maximizes the pair count among minimum-weight matchings, see
+//! `crate::decoder`). Both are exact decodes, but they are not equally
+//! likely explanations once Clique has acted: a sticky-filter
+//! correction of a qubit next to the boundary lights the
+//! same ancilla at rounds `t` and `t + k`, and at `k = 2·bd` that
+//! time-like pair ties with two exits. It is the data error and its
+//! correction, so pairing it is right. Over the full-scale Fig. 14
+//! grid, exiting ties would give the Clique column 2 830 failures
+//! against 2 234 with ties paired (2 347 under the dense oracle's
+//! tie-breaks; `EXPERIMENTS.md`).
 //!
 //! **The scan.** Events are walked in round order, so the time term
 //! alone prunes far-apart pairs wholesale: once
-//! `Δt ≥ bd(u) + max_boundary_distance`, no later event can collide
+//! `Δt > bd(u) + max_boundary_distance`, no later event can collide
 //! with `u` and the inner loop breaks. Each event's `(round, ancilla,
 //! bd)` is copied once, in that order, into a flat recycled buffer, and
 //! each `u` reads its partners' distances from one contiguous row of
 //! the lattice's once-per-code table ([`DetectorGraph::distance_row`]).
 //! The inner loop has no data-dependent branch besides the horizon
 //! break: every probe writes its candidate edge and advances the output
-//! cursor by `(d < bid) as usize`, so misses cost a store that the next
-//! probe overwrites. A `Δt ≥ bid` shortcut would only add a branch:
-//! `d ≥ Δt`, so `d < bid` already rules those pairs out. Unions run
+//! cursor by `(d ≤ bid) as usize`, so misses cost a store that the next
+//! probe overwrites. A `Δt > bid` shortcut would only add a branch:
+//! `d ≥ Δt`, so `d ≤ bid` already rules those pairs out. Unions run
 //! over the finished edge list afterwards, in list order, which is the
 //! order the pairs were found: roots, cluster order and the solver's
 //! edge-order tie-breaks are those of a scan that unions as it goes.
@@ -79,9 +89,9 @@ pub(crate) struct ScanEvent {
 /// sorted by round (the scan order, reused by the caller for cluster
 /// grouping), and `scratch.collisions` holds every colliding pair with
 /// its space-time weight, in scan order — the sparse edge set the
-/// in-solver blossom matches on (an optimal matching only ever pairs
-/// events across a collision edge; any other pair is weakly beaten by
-/// two boundary exits). `scratch.prepare` must already have been
+/// in-solver blossom matches on (the decoder's matching only ever
+/// pairs events across a collision edge; any other pair is strictly
+/// beaten by two boundary exits). `scratch.prepare` must already have been
 /// called, and every round must fit in a `u32`.
 pub(crate) fn merge_colliding_regions(
     graph: &DetectorGraph,
@@ -119,12 +129,12 @@ pub(crate) fn merge_colliding_regions(
         let mut found = 0;
         for v in &scan[i + 1..] {
             let dt = v.round - u.round;
-            if dt >= cutoff {
+            if dt > cutoff {
                 break;
             }
             let d = row[v.ancilla as usize] + dt;
             hits[found] = ClusterEdge::new(u.event, v.event, i64::from(d));
-            found += usize::from(d < u.bd + v.bd);
+            found += usize::from(d <= u.bd + v.bd);
         }
         collisions.extend_from_slice(&hits[..found]);
     }
@@ -199,7 +209,7 @@ mod tests {
         let a = (0..graph.num_nodes())
             .max_by_key(|&a| graph.boundary_distance(a))
             .expect("nonempty graph");
-        let gap = 2 * graph.boundary_distance(a) as usize;
+        let gap = 2 * graph.boundary_distance(a) as usize + 1;
         let roots = clusters_of(
             &code,
             &[DetectionEvent { ancilla: a, round: 0 }, DetectionEvent { ancilla: a, round: gap }],
@@ -225,7 +235,7 @@ mod tests {
                         DetectionEvent { ancilla: v, round: 0 },
                     ],
                 );
-                assert_eq!(roots[0] == roots[1], d < bid, "pair ({u},{v}) d={d} bid={bid}");
+                assert_eq!(roots[0] == roots[1], d <= bid, "pair ({u},{v}) d={d} bid={bid}");
             }
         }
     }
@@ -271,7 +281,7 @@ mod tests {
     }
 
     /// The quadratic scan the flat one replaced, kept as its oracle:
-    /// round-ordered pairs with the time-horizon break, a `Δt ≥ bid`
+    /// round-ordered pairs with the time-horizon break, a `Δt > bid`
     /// shortcut, one table lookup per remaining pair, and a union as
     /// soon as a pair collides.
     fn quadratic_oracle(
@@ -292,15 +302,15 @@ mod tests {
                 let v = scratch.order[j] as usize;
                 let ev = &events[v];
                 let dt = ev.round - eu.round;
-                if dt >= cutoff {
+                if dt > cutoff {
                     break;
                 }
                 let bid = bd_u + graph.boundary_distance(ev.ancilla);
-                if dt as u32 >= bid {
+                if dt as u32 > bid {
                     continue;
                 }
                 let d = graph.distance(eu.ancilla, ev.ancilla) + dt as u32;
-                if d < bid {
+                if d <= bid {
                     scratch.union(u as u32, v as u32);
                     scratch.collisions.push(ClusterEdge::new(u as u32, v as u32, i64::from(d)));
                 }

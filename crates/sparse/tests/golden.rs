@@ -14,8 +14,9 @@ use btwc_sparse::SparseDecoder;
 use btwc_testutil::noisy_window;
 
 /// The digest of every `(Correction::qubits(), weight)` over the plan
-/// below, recorded before the scan and arena rewrites.
-const GOLDEN: u64 = 0x29b6_5946_9ead_a509;
+/// below, recorded when equal-weight ties between pairing and two
+/// boundary exits began to pair (the weights did not move).
+const GOLDEN: u64 = 0xc75d_2bbf_07df_26c0;
 
 /// `(distance, error rate, windows)`: the chained-cluster fuzz grid's
 /// distances and rates, plus d = 5.

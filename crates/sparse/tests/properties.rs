@@ -4,6 +4,8 @@
 //! decoder commits to matchings of the same total space-time weight as
 //! the exponential brute-force reference (small instances) and the
 //! dense blossom decoder (realistic windows), boundary twins included.
+//! Among those, it takes one with the most pairs: where pairing two
+//! events ties with sending both to the boundary, they pair.
 
 use btwc_lattice::{StabilizerType, SurfaceCode};
 use btwc_mwpm::brute::brute_force_min_weight;
@@ -59,6 +61,71 @@ fn brute_optimum(code: &SurfaceCode, ty: StabilizerType, events: &[DetectionEven
         }
     };
     brute_force_min_weight(2 * n, weight).expect("twin construction always matches")
+}
+
+/// Every `(weight, pairs, logical class)` a matching of `events` can
+/// reach: each event either exits through the boundary or pairs with a
+/// later one, flipping the same shortest paths the decoder flips.
+fn matching_outcomes(
+    code: &SurfaceCode,
+    ty: StabilizerType,
+    events: &[DetectionEvent],
+) -> Vec<(i64, usize, bool)> {
+    struct Walk<'a> {
+        code: &'a SurfaceCode,
+        ty: StabilizerType,
+        events: &'a [DetectionEvent],
+        used: Vec<bool>,
+        flips: Vec<bool>,
+        out: Vec<(i64, usize, bool)>,
+    }
+    impl Walk<'_> {
+        fn toggle(&mut self, path: &[usize]) {
+            for &q in path {
+                self.flips[q] ^= true;
+            }
+        }
+
+        fn walk(&mut self, weight: i64, pairs: usize) {
+            let graph = self.code.detector_graph(self.ty);
+            let Some(i) = self.used.iter().position(|&u| !u) else {
+                let class = self.code.is_logical_error(self.ty, &self.flips);
+                self.out.push((weight, pairs, class));
+                return;
+            };
+            let a = self.events[i];
+            self.used[i] = true;
+            let exit = graph.path_to_boundary(a.ancilla);
+            self.toggle(&exit);
+            self.walk(weight + i64::from(graph.boundary_distance(a.ancilla)), pairs);
+            self.toggle(&exit);
+            for j in i + 1..self.events.len() {
+                if self.used[j] {
+                    continue;
+                }
+                let b = self.events[j];
+                let path = graph.path(a.ancilla, b.ancilla);
+                let d = i64::from(graph.distance(a.ancilla, b.ancilla))
+                    + a.round.abs_diff(b.round) as i64;
+                self.used[j] = true;
+                self.toggle(&path);
+                self.walk(weight + d, pairs + 1);
+                self.toggle(&path);
+                self.used[j] = false;
+            }
+            self.used[i] = false;
+        }
+    }
+    let mut walk = Walk {
+        code,
+        ty,
+        events,
+        used: vec![false; events.len()],
+        flips: vec![false; code.num_data_qubits()],
+        out: Vec::new(),
+    };
+    walk.walk(0, 0);
+    walk.out
 }
 
 /// Deduplicated events drawn from an (ancilla, round) grid.
@@ -199,6 +266,34 @@ proptest! {
         // Every event is one step from the boundary, so the optimum can
         // never exceed all-exits.
         prop_assert!(w <= events.len() as i64);
+    }
+
+    /// Ties pair: the decoder's correction is in the logical class of a
+    /// minimum-weight matching with the most pairs any minimum-weight
+    /// matching has. Events sit within two rounds near the boundary,
+    /// where pairing and two exits often weigh the same and the two
+    /// choices are often a logical operator apart.
+    #[test]
+    fn ties_pair_into_the_logical_class_of_a_most_paired_optimum(
+        d in prop_oneof![Just(3u16), Just(5)],
+        cells in proptest::collection::vec(0usize..100_000, 2..8),
+    ) {
+        let code = SurfaceCode::new(d);
+        let ty = StabilizerType::X;
+        let events = events_from_cells(&code, ty, 3, &cells);
+        let mut sparse = SparseDecoder::new(&code, ty);
+        let (c, w) = sparse.decode_events_weighted(&events);
+        let mut flips = vec![false; code.num_data_qubits()];
+        c.apply_to(&mut flips);
+        let class = code.is_logical_error(ty, &flips);
+        let outcomes = matching_outcomes(&code, ty, &events);
+        let best = outcomes.iter().map(|o| o.0).min().expect("at least one matching");
+        prop_assert_eq!(w, best, "events {:?}", events);
+        let most = outcomes.iter().filter(|o| o.0 == best).map(|o| o.1).max().unwrap();
+        prop_assert!(
+            outcomes.contains(&(best, most, class)),
+            "events {:?}: class {} is not that of a {}-pair optimum", events, class, most
+        );
     }
 }
 
